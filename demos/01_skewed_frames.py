@@ -29,7 +29,7 @@ def main():
     back = from_curbside(frame, comps)
     print(f"round trip error: {np.max(np.abs(back - p)):.2e} m")
 
-    # The same map as an explicit affine matrix: rigid motion then skew.
+    # The same map as an explicit affine matrix, from the same basis solve.
     T = curbside_transform(frame)
     print(f"\naffine map linear part:\n{T.linear.round(4)}")
     print(f"translation: {T.translation.round(4)}")

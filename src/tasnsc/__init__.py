@@ -48,7 +48,6 @@ from .trajectory import (
     Trajectory,
     TrajectoryError,
     load_dataset,
-    resample,
     save_dataset,
     split_horizon,
     velocities,

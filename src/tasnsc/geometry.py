@@ -157,22 +157,14 @@ def identity_frame() -> CurbsideFrame:
     return frame_from_curbs((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
-def _skew_matrix(frame: CurbsideFrame) -> np.ndarray:
-    # Helper-frame coordinates to contravariant components. Exactly the
-    # identity when the curbs are orthogonal.
-    sin_a = frame.sin_alpha
-    return np.array([[1.0, -frame.cos_alpha / sin_a], [0.0, 1.0 / sin_a]])
-
-
 def curbside_transform(frame: CurbsideFrame, local_origin=(0.0, 0.0), local_rotation: float = 0.0) -> AffineMap2D:
     """The full affine map from local coordinates to contravariant components.
 
-    The map is the composition of two stages applied in order:
-
-    1. a rigid motion taking the curb corner to the origin and ``e1`` onto
-       the +x axis (an intermediate orthogonal "helper" frame), then
-    2. the constant skew matrix that converts helper coordinates to
-       contravariant components along ``(e1, e2)``.
+    It is the basis solve of :func:`to_curbside` written as a matrix: the
+    linear part solves ``basis @ L = R`` for the local pose rotation ``R``,
+    and the translation is the contravariant image of the local origin.
+    Geometrically, that is the rigid motion and skew matrix of the module
+    docstring, composed.
 
     ``local_origin`` and ``local_rotation`` give the pose of the frame the
     input points live in, relative to the coordinates ``frame`` itself is
@@ -181,15 +173,8 @@ def curbside_transform(frame: CurbsideFrame, local_origin=(0.0, 0.0), local_rota
     """
     c, s = np.cos(local_rotation), np.sin(local_rotation)
     pose_rot = np.array([[c, -s], [s, c]])
-    pose_origin = _as_point(local_origin)
-
-    # Helper frame: rows are e1 and its perpendicular on the e2 side.
-    rigid = np.vstack((frame.e1, frame.perp))
-    skew = _skew_matrix(frame)
-
-    linear = skew @ rigid @ pose_rot
-    translation = skew @ rigid @ (pose_origin - frame.origin)
-    return AffineMap2D(linear, translation)
+    linear = np.linalg.solve(frame.basis, pose_rot)
+    return AffineMap2D(linear, to_curbside(frame, _as_point(local_origin)))
 
 
 def to_curbside(frame: CurbsideFrame, p) -> np.ndarray:

@@ -154,8 +154,8 @@ class PredictionSet:
         if not self.candidates:
             raise ValueError("prediction set cannot be empty")
         weights = np.array([c.likelihood for c in self.candidates])
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("candidate likelihoods must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(weights) & (weights >= 0)) or abs(weights.sum() - 1.0) > 1e-9:
+            raise ValueError("candidate likelihoods must be finite, nonnegative and sum to 1")
         lengths = {len(c.trajectory) for c in self.candidates}
         if len(lengths) > 1:
             raise ValueError(f"candidates have mixed lengths: {sorted(lengths)}")
@@ -173,6 +173,11 @@ def _fit_grid(trajectories, cell: float) -> GridSpec:
     lo = np.floor((xy.min(axis=0) - cell) / cell) * cell
     hi = np.ceil((xy.max(axis=0) + cell) / cell) * cell
     return GridSpec(x_min=lo[0], x_max=hi[0], y_min=lo[1], y_max=hi[1], cell=cell)
+
+
+def _check_dt(dt: float, config: PipelineConfig, what: str) -> None:
+    if abs(dt - config.dt) > 1e-9:
+        raise PipelineError(f"{what} is sampled at dt={dt}s, the pipeline expects dt={config.dt}s")
 
 
 def _effective_frame(frame: CurbsideFrame, mode: str) -> CurbsideFrame:
@@ -209,6 +214,7 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     config = config if config is not None else PipelineConfig()
     if len(dataset) < 2:
         raise PipelineError(f"training needs at least 2 trajectories, got {len(dataset)}")
+    _check_dt(dataset.dt, config, "training data")
     eff = _effective_frame(frame, config.mode)
     curbside = [transform_trajectory(eff, t) for t in dataset]
     grid = config.grid if config.grid is not None else _fit_grid(curbside, config.grid_cell)
@@ -237,8 +243,6 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     total = transitions.sum()
     patterns = []
     for (i, j) in sorted(blocks):
-        if transitions[i, j] <= 0:
-            continue
         samples = _subsample(np.vstack(blocks[(i, j)]), config.max_gp_points)
         gp_x = GPModel(samples[:, :2], samples[:, 2], config.kernel)
         gp_y = GPModel(samples[:, :2], samples[:, 3], config.kernel)
@@ -297,6 +301,7 @@ def predict(model: TasnscModel, test_frame: CurbsideFrame, observed: Trajectory)
     if not model.patterns:
         raise PipelineError("model has no motion patterns")
     cfg = model.config
+    _check_dt(observed.dt, cfg, f"observation {observed.id!r}")
     if observed.duration + 1e-9 < 2 * cfg.dt:
         raise TrajectoryError(
             f"observation {observed.id!r} spans {observed.duration}s, needs at least {2 * cfg.dt}s"

@@ -121,23 +121,23 @@ class SparseCodes:
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
 
 
-def _channel(vx: float, vy: float) -> int | None:
-    """Direction channel of the dominant velocity component; None if still."""
-    ax, ay = abs(vx), abs(vy)
-    if ax == 0.0 and ay == 0.0:
-        return None
-    if ax >= ay:
-        return 0 if vx > 0 else 1
-    return 2 if vy > 0 else 3
+def _pair_features(traj: Trajectory, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(feature index, moving mask, clipped mask) for every consecutive point pair.
 
-
-def _feature_index(grid: GridSpec, x: float, y: float, channel: int) -> tuple[int, bool]:
-    ix = int(np.floor((x - grid.x_min) / grid.cell))
-    iy = int(np.floor((y - grid.y_min) / grid.cell))
-    clipped = not (0 <= ix < grid.nx and 0 <= iy < grid.ny)
-    ix = min(max(ix, 0), grid.nx - 1)
-    iy = min(max(iy, 0), grid.ny - 1)
-    return (iy * grid.nx + ix) * N_CHANNELS + channel, clipped
+    A pair votes in the cell of its segment midpoint, clipped to the border
+    cell when outside the grid, and in the channel of its dominant velocity
+    component (+x, -x, +y, -y; x wins ties). Zero-velocity pairs are not
+    moving; their feature index is meaningless.
+    """
+    vx, vy = velocities(traj)[:, 2:].T
+    channel = np.where(np.abs(vx) >= np.abs(vy), np.where(vx > 0, 0, 1), np.where(vy > 0, 2, 3))
+    moving = (vx != 0.0) | (vy != 0.0)
+    mids = 0.5 * (traj.xy[:-1] + traj.xy[1:])
+    cells = np.floor((mids - (grid.x_min, grid.y_min)) / grid.cell)
+    hi = (grid.nx - 1, grid.ny - 1)
+    clipped = np.any((cells < 0) | (cells > hi), axis=1)
+    ix, iy = np.clip(cells, 0, hi).astype(int).T
+    return (iy * grid.nx + ix) * N_CHANNELS + channel, moving, clipped
 
 
 def featurize(traj: Trajectory, grid: GridSpec) -> np.ndarray:
@@ -150,17 +150,9 @@ def featurize(traj: Trajectory, grid: GridSpec) -> np.ndarray:
     """
     if len(traj) < 2:
         raise TrajectoryError(f"{traj.id!r} is too short to featurize")
-    samples = velocities(traj)
-    mids = 0.5 * (traj.xy[:-1] + traj.xy[1:])
-    feat = np.zeros(grid.dim)
-    n_clipped = 0
-    for (x, y), (_, _, vx, vy) in zip(mids, samples):
-        ch = _channel(vx, vy)
-        if ch is None:
-            continue
-        idx, clipped = _feature_index(grid, x, y, ch)
-        n_clipped += clipped
-        feat[idx] += 1.0
+    idx, moving, clipped = _pair_features(traj, grid)
+    feat = np.bincount(idx[moving], minlength=grid.dim).astype(float)
+    n_clipped = int(np.count_nonzero(clipped & moving))
     if n_clipped:
         logger.warning("%s: %d segment midpoints outside grid bounds were clipped", traj.id, n_clipped)
     norm = np.linalg.norm(feat)
@@ -277,15 +269,9 @@ class Segment:
 
 def _point_scores(traj: Trajectory, dictionary: Dictionary, grid: GridSpec) -> np.ndarray:
     """(n, K) score of each point's cell/channel feature under each atom."""
-    samples = velocities(traj)
-    mids = 0.5 * (traj.xy[:-1] + traj.xy[1:])
+    idx, moving, _ = _pair_features(traj, grid)
     scores = np.zeros((len(traj), dictionary.k))
-    for i, ((x, y), (_, _, vx, vy)) in enumerate(zip(mids, samples)):
-        ch = _channel(vx, vy)
-        if ch is None:
-            continue
-        idx, _ = _feature_index(grid, x, y, ch)
-        scores[i] = dictionary.atoms[:, idx]
+    scores[:-1][moving] = dictionary.atoms[:, idx[moving]].T
     scores[-1] = scores[-2]  # last point inherits its incoming motion
     return scores
 

@@ -1,4 +1,4 @@
-"""Trajectory data model, resampling, finite-difference velocities and I/O.
+"""Trajectory data model, finite-difference velocities and I/O.
 
 A trajectory is a sequence of 2-D positions sampled at a fixed time step.
 Datasets are stored as JSON lines, one trajectory per line:
@@ -15,7 +15,6 @@ __all__ = [
     "TrajectoryError",
     "Trajectory",
     "Dataset",
-    "resample",
     "velocities",
     "split_horizon",
     "load_dataset",
@@ -44,12 +43,14 @@ class Trajectory:
     intent: str | None = field(default=None)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise TrajectoryError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise TrajectoryError(f"dt must be positive and finite, got {self.dt}")
         times = np.asarray(self.times, dtype=float).copy()
         xy = np.asarray(self.xy, dtype=float).reshape(-1, 2).copy()
         if times.shape != (len(xy),):
             raise TrajectoryError("times and xy lengths differ")
+        if not (np.isfinite(times).all() and np.isfinite(xy).all()):
+            raise TrajectoryError(f"{self.id!r} has non-finite timestamps or positions")
         if len(times) >= 2:
             steps = np.diff(times)
             if np.any(steps <= 0):
@@ -108,24 +109,6 @@ class Dataset:
         if not self.trajectories:
             raise TrajectoryError("empty dataset has no dt")
         return self.trajectories[0].dt
-
-
-def resample(traj: Trajectory, dt: float) -> Trajectory:
-    """Linearly interpolate onto a uniform grid starting at the first timestamp.
-
-    The grid runs to the last timestamp; a trailing partial step is dropped.
-    """
-    if dt <= 0:
-        raise TrajectoryError(f"dt must be positive, got {dt}")
-    if len(traj) < 2:
-        raise TrajectoryError(f"cannot resample {traj.id!r}: needs at least 2 points")
-    t0 = traj.times[0]
-    span = traj.times[-1] - t0
-    n_steps = int(np.floor(span / dt + 1e-9))
-    grid = t0 + dt * np.arange(n_steps + 1)
-    x = np.interp(grid, traj.times, traj.xy[:, 0])
-    y = np.interp(grid, traj.times, traj.xy[:, 1])
-    return Trajectory(id=traj.id, dt=dt, times=grid, xy=np.column_stack((x, y)), intent=traj.intent)
 
 
 def velocities(traj: Trajectory) -> np.ndarray:

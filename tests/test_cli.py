@@ -92,6 +92,26 @@ class TestTrain:
         )
         assert rc == 3
 
+    def test_dt_mismatch_exits_3(self, workdir, tmp_path, capsys):
+        data = tmp_path / "quarter.jsonl"
+        assert main(["generate", "--scene", str(workdir["scene_a"]), "--n", "5", "--dt", "0.25",
+                     "--out", str(data)]) == 0
+        rc = main(
+            ["train", "--data", str(data), "--frame", str(workdir["frame_a"]),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert rc == 3
+        assert "dt=0.25" in capsys.readouterr().err
+
+    def test_non_finite_data_exits_2(self, workdir, tmp_path):
+        data = tmp_path / "nan.jsonl"
+        data.write_text('{"id": "a", "dt": 0.5, "points": [[0, 0, 0], [0.5, NaN, 0]]}\n')
+        rc = main(
+            ["train", "--data", str(data), "--frame", str(workdir["frame_a"]),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert rc == 2
+
     def test_config_file_with_flag_override(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k_atoms": 9, "iters": 40}))
@@ -153,6 +173,17 @@ class TestEvaluate:
              "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
         )
         assert rc == 2
+
+    def test_dt_mismatch_exits_3(self, workdir, model_a_path, tmp_path, capsys):
+        data = tmp_path / "quarter.jsonl"
+        assert main(["generate", "--scene", str(workdir["scene_a"]), "--n", "3", "--dt", "0.25",
+                     "--seed", "1007", "--tag", "test", "--out", str(data)]) == 0
+        rc = main(
+            ["evaluate", "--model", str(model_a_path), "--data", str(data),
+             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 3
+        assert "dt=0.25" in capsys.readouterr().err
 
     def test_emit_plots(self, workdir, model_a_path, tmp_path):
         plots = tmp_path / "plots"

@@ -35,6 +35,11 @@ class TestTrain:
         with pytest.raises(PipelineError):
             train(Dataset(trajectories=[]), identity_frame())
 
+    def test_dt_mismatch_rejected(self):
+        scene = straight_scene()
+        with pytest.raises(PipelineError, match="dt=0.25"):
+            train(generate(scene, 10, dt=0.25), scene.frame(), PipelineConfig())
+
     def test_straight_corpus_flow_direction(self):
         scene = straight_scene()
         model = train(generate(scene, 30), scene.frame(), PipelineConfig(k_atoms=4))
@@ -114,6 +119,12 @@ class TestPredict:
         with pytest.raises(TrajectoryError):
             predict(model_a, small_a["frame"], obs)
 
+    def test_dt_mismatch_rejected(self, model_a, small_a):
+        t = 0.25 * np.arange(11)
+        obs = Trajectory(id="q", dt=0.25, times=t, xy=np.column_stack((t, np.zeros_like(t))))
+        with pytest.raises(PipelineError, match="dt=0.25"):
+            predict(model_a, small_a["frame"], obs)
+
     def test_replayed_training_prefix_recovers_own_pattern(self, model_a, small_a):
         cfg = model_a.config
         hits = 0
@@ -189,6 +200,13 @@ class TestPredictionSetInvariants:
         if len(bad) > 1:
             with pytest.raises(ValueError):
                 PredictionSet(candidates=bad)
+
+    def test_nan_likelihood_rejected(self, model_a, small_a):
+        obs, _ = split_horizon(small_a["test"].trajectories[0], 2.5, 5.0)
+        c = predict(model_a, small_a["frame"], obs).candidates[0]
+        nan = type(c)(trajectory=c.trajectory, likelihood=float("nan"), atoms=c.atoms, step_variance=c.step_variance)
+        with pytest.raises(ValueError, match="finite"):
+            PredictionSet(candidates=[nan])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

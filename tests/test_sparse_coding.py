@@ -1,10 +1,17 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tasnsc import sparse_coding
 from tasnsc.sparse_coding import (
     DegenerateMotionError,
     Dictionary,
     GridSpec,
+    Segment,
     build_transitions,
     featurize,
     learn_dictionary,
@@ -200,6 +207,92 @@ class TestSegment:
         )
         segs = segment(traj, d, GRID, min_len=4)
         assert len(segs) == 1
+
+
+def oracle_pairs(traj, grid):
+    """Scalar per-pair rule: (pair, feature index, clipped) for each moving pair.
+
+    The dominant velocity axis picks the channel (+x, -x, +y, -y), a tie goes
+    to x, a zero-velocity pair votes nothing, and the segment midpoint's cell
+    is clipped to the grid border.
+    """
+    votes = []
+    for k in range(len(traj) - 1):
+        (x0, y0), (x1, y1) = traj.xy[k], traj.xy[k + 1]
+        vx, vy = (x1 - x0) / traj.dt, (y1 - y0) / traj.dt
+        if vx == 0.0 and vy == 0.0:
+            continue
+        if abs(vx) >= abs(vy):
+            ch = 0 if vx > 0 else 1
+        else:
+            ch = 2 if vy > 0 else 3
+        ix = math.floor((0.5 * (x0 + x1) - grid.x_min) / grid.cell)
+        iy = math.floor((0.5 * (y0 + y1) - grid.y_min) / grid.cell)
+        clipped = not (0 <= ix < grid.nx and 0 <= iy < grid.ny)
+        ix, iy = min(max(ix, 0), grid.nx - 1), min(max(iy, 0), grid.ny - 1)
+        votes.append((k, (iy * grid.nx + ix) * 4 + ch, clipped))
+    return votes
+
+
+ORACLE_GRID = GridSpec(-1.0, 2.0, -0.5, 1.5, cell=0.5)
+ORACLE_DICT = Dictionary(atoms=np.random.default_rng(12).normal(size=(5, ORACLE_GRID.dim)))
+
+# Steps on a quarter-meter lattice make ties, reversals and standstills
+# common; free float steps cover the rest. Starts range well past the grid.
+_lattice_step = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda s: (0.25 * s[0], 0.25 * s[1]))
+_float_step = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+_trajectories = st.tuples(
+    st.tuples(st.floats(-3.0, 4.0), st.floats(-2.5, 3.5)),
+    st.lists(st.one_of(_lattice_step, _float_step), min_size=1, max_size=25),
+).map(lambda a: traj_from_xy(np.cumsum(np.vstack((a[0], a[1])), axis=0), dt=0.5))
+
+# One walk with a tie, -x and -y steps, a standstill mid-way and midpoints off the grid.
+_ALL_CASES = traj_from_xy(
+    [[-2.0, 0.0], [-1.5, 0.5], [-1.5, 0.5], [-2.0, 0.5], [-2.0, -1.5], [0.5, -1.5], [3.0, 2.5]], dt=0.5
+)
+
+
+class TestPairRuleOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(traj=_trajectories)
+    @example(traj=_ALL_CASES)
+    def test_featurize_matches_scalar_rule(self, traj):
+        votes = oracle_pairs(traj, ORACLE_GRID)
+        expected = np.zeros(ORACLE_GRID.dim)
+        for _, idx, _ in votes:
+            expected[idx] += 1.0
+        n_clipped = sum(clipped for _, _, clipped in votes)
+        with mock.patch.object(sparse_coding.logger, "warning") as warn:
+            if not votes:
+                with pytest.raises(DegenerateMotionError):
+                    featurize(traj, ORACLE_GRID)
+                return
+            feat = featurize(traj, ORACLE_GRID)
+        assert np.array_equal(feat, expected / np.linalg.norm(expected))
+        if n_clipped:
+            (fmt, *args), _ = warn.call_args
+            assert warn.call_count == 1
+            assert fmt % tuple(args) == f"{traj.id}: {n_clipped} segment midpoints outside grid bounds were clipped"
+        else:
+            assert not warn.called
+
+    @settings(max_examples=80, deadline=None)
+    @given(traj=_trajectories)
+    @example(traj=_ALL_CASES)
+    def test_segment_matches_scalar_rule(self, traj):
+        # With min_len=1 nothing is merged, so each run is a run of the
+        # per-point argmax of the oracle's scores.
+        scores = np.zeros((len(traj), ORACLE_DICT.k))
+        for k, idx, _ in oracle_pairs(traj, ORACLE_GRID):
+            scores[k] = ORACLE_DICT.atoms[:, idx]
+        scores[-1] = scores[-2]
+        labels = np.argmax(scores, axis=1)
+        bounds = [0] + [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]] + [len(labels)]
+        expected = [
+            Segment(int(labels[a]), a, b, low_confidence=float(scores[a:b, labels[a]].sum()) <= 0.0)
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        assert segment(traj, ORACLE_DICT, ORACLE_GRID, min_len=1) == expected
 
 
 class TestBuildTransitions:

@@ -6,7 +6,6 @@ from tasnsc.trajectory import (
     Trajectory,
     TrajectoryError,
     load_dataset,
-    resample,
     save_dataset,
     split_horizon,
     velocities,
@@ -32,32 +31,20 @@ class TestTrajectory:
         assert traj.duration == pytest.approx(2.0)
         assert traj.points.shape == (5, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        xy = np.zeros((3, 2))
+        xy[1, 1] = bad
+        with pytest.raises(TrajectoryError, match="non-finite"):
+            Trajectory(id="nf", dt=0.5, times=[0.0, 0.5, 1.0], xy=xy)
+        with pytest.raises(TrajectoryError, match="non-finite"):
+            Trajectory(id="nf", dt=0.5, times=[0.0, bad, 1.0], xy=np.zeros((3, 2)))
+        with pytest.raises(TrajectoryError, match="finite"):
+            Trajectory(id="nf", dt=bad, times=[0.0, 0.5, 1.0], xy=np.zeros((3, 2)))
+
     def test_empty_allowed(self):
         traj = Trajectory(id="e", dt=0.5, times=np.empty(0), xy=np.empty((0, 2)))
         assert len(traj) == 0 and traj.duration == 0.0
-
-
-class TestResample:
-    def test_already_uniform_is_identity(self):
-        traj = walk(n=8)
-        out = resample(traj, traj.dt)
-        assert np.allclose(out.times, traj.times)
-        assert np.allclose(out.xy, traj.xy)
-
-    def test_linear_interpolation(self):
-        traj = Trajectory(id="r", dt=1.0, times=[0, 1, 2], xy=[[0, 0], [2, 0], [4, 0]])
-        out = resample(traj, 0.5)
-        assert np.allclose(out.xy[:, 0], [0, 1, 2, 3, 4])
-
-    def test_partial_step_dropped(self):
-        traj = Trajectory(id="p", dt=1.0, times=[0, 1, 2], xy=[[0, 0], [1, 0], [2, 0]])
-        out = resample(traj, 0.75)
-        assert np.allclose(out.times, [0, 0.75, 1.5])
-
-    def test_single_point_rejected(self):
-        traj = Trajectory(id="s", dt=0.5, times=[0.0], xy=[[0, 0]])
-        with pytest.raises(TrajectoryError):
-            resample(traj, 0.5)
 
 
 class TestVelocities:
@@ -81,8 +68,8 @@ class TestVelocities:
             velocities(Trajectory(id="x", dt=0.5, times=[0.0], xy=[[0, 0]]))
 
     def test_constant_after_resample(self):
-        traj = walk(vx=1.1, vy=-0.4, n=12)
-        v = velocities(resample(traj, 0.25))
+        traj = walk(vx=1.1, vy=-0.4, n=24, dt=0.25)
+        v = velocities(traj)
         assert np.max(np.abs(v[:, 2] - 1.1)) < 1e-9
         assert np.max(np.abs(v[:, 3] + 0.4)) < 1e-9
 
@@ -122,6 +109,12 @@ class TestDataset:
         back = load_dataset(path)
         assert [t.id for t in back] == ["a", "b"]
         assert np.allclose(back.trajectories[1].xy, ds.trajectories[1].xy)
+
+    def test_nan_in_file_rejected(self, tmp_path):
+        path = tmp_path / "nan.jsonl"
+        path.write_text('{"id": "a", "dt": 0.5, "points": [[0, 0, 0], [0.5, NaN, 0]]}\n')
+        with pytest.raises(TrajectoryError, match="non-finite"):
+            load_dataset(path)
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
