@@ -36,16 +36,7 @@ def main():
     rows = []
     for mode, train_in, test_in in grid:
         report = evaluate(models[(mode, train_in)], data[test_in]["test"], data[test_in]["frame"])
-        rows.append(
-            {
-                "algorithm": "ASNSC" if mode == "baseline" else "TASNSC",
-                "accuracy": report.classification_accuracy,
-                "mhd": report.mean_mhd,
-                "time": report.mean_predict_time,
-                "train_in": train_in,
-                "test_in": test_in,
-            }
-        )
+        rows.append(report.table_row(mode, train_in, test_in))
     print(format_table(rows))
     transfer = next(r for r in rows if r["algorithm"] == "TASNSC" and r["train_in"] == "B" and r["test_in"] == "A")
     collapsed = next(r for r in rows if r["algorithm"] == "ASNSC" and r["train_in"] == "B" and r["test_in"] == "A")

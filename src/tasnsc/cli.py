@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .geometry import DegenerateFrameError, load_frame
 from .gp import GPFitError
-from .metrics import evaluate, format_table, write_candidate_csv
+from .metrics import THRESHOLD_DEG, evaluate, format_table, write_candidate_csv
 from .predictor import PipelineConfig, PipelineError, load_model, save_model, train
 from .sparse_coding import DegenerateMotionError
 from .synthgen import generate, load_scene, with_seed
@@ -53,10 +53,6 @@ def _load_config(args) -> PipelineConfig:
         ("seed", "seed"),
         ("mode", "mode"),
         ("iters", "iters"),
-        ("top_m", "top_m"),
-        ("dt", "dt"),
-        ("t_obs", "t_obs"),
-        ("t_pred", "t_pred"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -129,20 +125,7 @@ def _cmd_evaluate(args) -> int:
         for observed, truth, pset in collected:
             name = observed.id.replace("/", "_") + ".csv"
             write_candidate_csv(os.path.join(args.emit_plots, name), observed, truth, pset)
-    print(
-        format_table(
-            [
-                {
-                    "algorithm": model.config.mode,
-                    "accuracy": report.classification_accuracy,
-                    "mhd": report.mean_mhd,
-                    "time": report.mean_predict_time,
-                    "train_in": "-",
-                    "test_in": dataset.tag,
-                }
-            ]
-        )
-    )
+    print(format_table([report.table_row(model.config.mode, "-", dataset.tag)]))
     return EXIT_OK
 
 
@@ -176,16 +159,7 @@ def _cmd_compare(args) -> int:
             if key not in models:
                 models[key] = train(tr_data, tr_frame, replace(config, mode=mode))
             report = evaluate(models[key], te_data, te_frame, threshold=args.threshold)
-            rows.append(
-                {
-                    "algorithm": "ASNSC" if mode == "baseline" else "TASNSC",
-                    "accuracy": report.classification_accuracy,
-                    "mhd": report.mean_mhd,
-                    "time": report.mean_predict_time,
-                    "train_in": tr_name,
-                    "test_in": te_name,
-                }
-            )
+            rows.append(report.table_row(mode, tr_name, te_name))
     except _PIPELINE_ERRORS + (ValueError,) as exc:
         return _fail(EXIT_RUNTIME, f"comparison failed: {exc}")
 
@@ -208,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int, help="number of trajectories")
     p.add_argument("--out", required=True, help="output dataset file (JSON lines)")
     p.add_argument("--seed", type=int, default=None, help="override the scene seed")
-    p.add_argument("--dt", type=float, default=0.5, help="sampling interval, seconds")
+    p.add_argument("--dt", type=float, default=PipelineConfig().dt, help="sampling interval, seconds")
     p.add_argument("--tag", default="train", help="id prefix / split tag")
     p.set_defaults(func=_cmd_generate)
 
@@ -229,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--frame", required=True)
     p.add_argument("--report", required=True, help="output report JSON")
-    p.add_argument("--threshold", type=float, default=40.0, help="correctness cone, degrees")
+    p.add_argument("--threshold", type=float, default=THRESHOLD_DEG, help="correctness cone, degrees")
     p.add_argument("--emit-plots", default=None, metavar="DIR", help="write per-trajectory CSVs")
     p.add_argument("--weighted-mhd", action="store_true", help="also report likelihood-weighted MHD")
     p.set_defaults(func=_cmd_evaluate)
@@ -242,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-a", required=True)
     p.add_argument("--frame-b", required=True)
     p.add_argument("--out", required=True, help="output comparison JSON")
-    p.add_argument("--threshold", type=float, default=40.0)
+    p.add_argument("--threshold", type=float, default=THRESHOLD_DEG)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--lambda", dest="sparsity", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)

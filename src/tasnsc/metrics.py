@@ -3,8 +3,8 @@ likelihood-weighted classification accuracy, and the full benchmark report.
 
 A prediction counts as correct when the direction from the last observed
 point to its endpoint deviates from the ground-truth direction by at most a
-threshold (40 degrees by default). Accuracy pools every candidate across
-the test set, weighting each by its prediction likelihood:
+threshold (``THRESHOLD_DEG`` by default). Accuracy pools every candidate
+across the test set, weighting each by its prediction likelihood:
 
     accuracy % = 100 * sum(l_i for correct i) / sum(l_k for all k)
 """
@@ -20,7 +20,10 @@ from scipy.spatial.distance import cdist
 from .predictor import PredictionSet, TasnscModel, predict
 from .trajectory import Dataset, Trajectory, split_horizon
 
+THRESHOLD_DEG = 40.0  # the paper's correctness cone, degrees
+
 __all__ = [
+    "THRESHOLD_DEG",
     "EvalReport",
     "mhd",
     "angular_deviation",
@@ -66,31 +69,41 @@ def angular_deviation(predicted, truth, anchor) -> float:
     return float(np.degrees(np.arccos(cosang)))
 
 
-def _candidate_correct(candidate_traj, truth, anchor, threshold: float) -> bool:
-    # Degenerate displacements (a rollout that went nowhere, or a stationary
-    # ground truth) never fall inside the cone.
-    try:
-        return angular_deviation(candidate_traj, truth, anchor) <= threshold
-    except ValueError:
-        return False
+def _judge(pset: PredictionSet, truth, anchor, threshold: float) -> list:
+    """``(likelihood, correct)`` for every candidate of a set, in candidate order."""
+    judged = []
+    for cand in pset.candidates:
+        # Degenerate displacements (a rollout that went nowhere, or a
+        # stationary ground truth) never fall inside the cone.
+        try:
+            correct = angular_deviation(cand.trajectory, truth, anchor) <= threshold
+        except ValueError:
+            correct = False
+        judged.append((cand.likelihood, correct))
+    return judged
 
 
-def classification_accuracy(results, threshold: float = 40.0) -> float:
+def _accuracy(judged_sets) -> float:
+    """Pool judged sets, set by set and candidate by candidate, into a percentage."""
+    num = 0.0
+    den = 0.0
+    for judged in judged_sets:
+        for likelihood, correct in judged:
+            den += likelihood
+            if correct:
+                num += likelihood
+    if den == 0.0:
+        raise ValueError("no predictions to score")
+    return 100.0 * num / den
+
+
+def classification_accuracy(results, threshold: float = THRESHOLD_DEG) -> float:
     """Likelihood-weighted percentage of correct predictions.
 
     ``results`` is a sequence of ``(PredictionSet, truth, anchor)`` triples;
     every candidate of every set is pooled with its likelihood as weight.
     """
-    num = 0.0
-    den = 0.0
-    for pset, truth, anchor in results:
-        for cand in pset.candidates:
-            den += cand.likelihood
-            if _candidate_correct(cand.trajectory, truth, anchor, threshold):
-                num += cand.likelihood
-    if den == 0.0:
-        raise ValueError("no predictions to score")
-    return 100.0 * num / den
+    return _accuracy(_judge(pset, truth, anchor, threshold) for pset, truth, anchor in results)
 
 
 @dataclass
@@ -118,6 +131,17 @@ class EvalReport:
             d["mean_weighted_mhd"] = self.mean_weighted_mhd
         return d
 
+    def table_row(self, mode: str, train_in: str, test_in: str) -> dict:
+        """One :func:`format_table` row under the paper's algorithm names."""
+        return {
+            "algorithm": "ASNSC" if mode == "baseline" else "TASNSC",
+            "accuracy": self.classification_accuracy,
+            "mhd": self.mean_mhd,
+            "time": self.mean_predict_time,
+            "train_in": train_in,
+            "test_in": test_in,
+        }
+
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
@@ -128,37 +152,34 @@ def evaluate(
     model: TasnscModel,
     test: Dataset,
     test_frame,
-    t_obs: float | None = None,
-    t_pred: float | None = None,
-    threshold: float = 40.0,
+    threshold: float = THRESHOLD_DEG,
     weighted_mhd: bool = False,
     collect_predictions: list | None = None,
 ) -> EvalReport:
     """Run the full benchmark protocol over a test dataset.
 
-    Each trajectory is split into observation and ground-truth horizons,
-    predicted, and scored. Timing covers ``predict`` only. When a list is
-    passed as ``collect_predictions`` it receives one
+    Each trajectory is split into the model's ``config.t_obs`` observation
+    and ``config.t_pred`` ground truth, predicted, and scored. Timing
+    covers ``predict`` only. When a list is passed as
+    ``collect_predictions`` it receives one
     ``(observed, truth, PredictionSet)`` triple per trajectory, for plot
     export.
     """
     if len(test) == 0:
         raise ValueError("empty test set")
-    t_obs = model.config.t_obs if t_obs is None else t_obs
-    t_pred = model.config.t_pred if t_pred is None else t_pred
 
-    results = []
+    judged_sets = []
     rows = []
     mhds = []
     weighted = []
     times = []
     for traj in test:
-        observed, truth = split_horizon(traj, t_obs, t_pred)
+        observed, truth = split_horizon(traj, model.config.t_obs, model.config.t_pred)
         tic = time.perf_counter()
         pset = predict(model, test_frame, observed)
         elapsed = time.perf_counter() - tic
-        anchor = observed.xy[-1]
-        results.append((pset, truth, anchor))
+        judged = _judge(pset, truth, observed.xy[-1], threshold)
+        judged_sets.append(judged)
         if collect_predictions is not None:
             collect_predictions.append((observed, truth, pset))
         times.append(elapsed)
@@ -168,25 +189,20 @@ def evaluate(
         mhds.append(top_mhd)
         if weighted_mhd:
             weighted.append(sum(c.likelihood * mhd(c.trajectory, truth) for c in pset.candidates))
-        correct_weight = sum(
-            c.likelihood
-            for c in pset.candidates
-            if _candidate_correct(c.trajectory, truth, anchor, threshold)
-        )
         rows.append(
             {
                 "id": traj.id,
                 "intent": traj.intent,
                 "top_pattern": list(top.atoms),
                 "top_likelihood": top.likelihood,
-                "correct_weight": correct_weight,
+                "correct_weight": sum(lik for lik, correct in judged if correct),
                 "top_mhd": top_mhd,
                 "predict_time": elapsed,
             }
         )
 
     return EvalReport(
-        classification_accuracy=classification_accuracy(results, threshold),
+        classification_accuracy=_accuracy(judged_sets),
         mean_mhd=float(np.mean(mhds)),
         mean_predict_time=float(np.mean(times)),
         threshold_deg=threshold,

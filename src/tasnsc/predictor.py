@@ -128,8 +128,18 @@ class TasnscModel:
     final_objective: float
 
     def __post_init__(self):
+        k = self.dictionary.k
+        if self.dictionary.atoms.shape[1] != self.grid.dim:
+            raise ValueError(
+                f"dictionary atoms have dimension {self.dictionary.atoms.shape[1]}, "
+                f"the grid has {self.grid.dim} features"
+            )
+        if self.transitions.shape != (k, k):
+            raise ValueError(f"transitions have shape {self.transitions.shape}, expected ({k}, {k})")
         for pat in self.patterns:
             i, j = pat.atoms
+            if not (0 <= i < k and 0 <= j < k):
+                raise ValueError(f"pattern {pat.atoms} names an atom outside [0, {k})")
             if self.transitions[i, j] <= 0:
                 raise ValueError(f"pattern {pat.atoms} has no supporting transitions")
 

@@ -164,7 +164,7 @@ def generate(scene: SceneSpec, n: int, dt: float = 0.5, tag: str = "train") -> D
         trajectories.append(
             Trajectory(id=f"{tag}-{i:04d}-{intent}", dt=dt, times=times, xy=xy, intent=str(intent))
         )
-    return Dataset(trajectories=trajectories, frame=frame, tag=tag)
+    return Dataset(trajectories=trajectories, tag=tag)
 
 
 def scene_a(seed: int = 7) -> SceneSpec:

@@ -83,14 +83,9 @@ class Trajectory:
 
 @dataclass(eq=False)
 class Dataset:
-    """A bag of trajectories sharing one sampling interval.
-
-    ``frame`` is the curbside frame of the intersection the data came from,
-    when known; the on-disk format carries trajectories only.
-    """
+    """A bag of trajectories sharing one sampling interval."""
 
     trajectories: list
-    frame: object | None = None
     tag: str = "train"
 
     def __post_init__(self):
@@ -145,7 +140,7 @@ def split_horizon(traj: Trajectory, t_obs: float, t_pred: float) -> tuple[Trajec
     return observed, future
 
 
-def load_dataset(path, frame=None, tag: str = "train") -> Dataset:
+def load_dataset(path, tag: str = "train") -> Dataset:
     """Read a JSON-lines dataset file."""
     trajectories = []
     with open(path) as fh:
@@ -158,7 +153,7 @@ def load_dataset(path, frame=None, tag: str = "train") -> Dataset:
                 trajectories.append(Trajectory.from_points(rec["id"], rec["dt"], rec["points"]))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad trajectory record: {exc}") from exc
-    return Dataset(trajectories=trajectories, frame=frame, tag=tag)
+    return Dataset(trajectories=trajectories, tag=tag)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -157,6 +157,7 @@ class TestEvaluate:
         assert {"classification_accuracy", "mean_mhd", "mean_predict_time", "rows"} <= set(doc)
         out = capsys.readouterr().out
         assert "Classification Accuracy (%)" in out
+        assert out.splitlines()[2].split()[0] == "TASNSC"
 
     def test_threshold_180_is_100_percent(self, workdir, model_a_path, tmp_path):
         report = tmp_path / "report.json"
@@ -173,6 +174,18 @@ class TestEvaluate:
              "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
         )
         assert rc == 2
+
+    def test_bad_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys):
+        doc = json.loads(model_a_path.read_text())
+        doc["patterns"][0]["atoms"] = [len(doc["transitions"]), 0]
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            ["evaluate", "--model", str(bad), "--data", str(workdir["test_a"]),
+             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        assert "atom outside" in capsys.readouterr().err
 
     def test_dt_mismatch_exits_3(self, workdir, model_a_path, tmp_path, capsys):
         data = tmp_path / "quarter.jsonl"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from tasnsc import metrics
 from tasnsc.metrics import (
+    THRESHOLD_DEG,
     angular_deviation,
     classification_accuracy,
     evaluate,
@@ -174,6 +176,64 @@ class TestEvaluate:
         doc = json.loads(path.read_text())
         assert doc["classification_accuracy"] == pytest.approx(report.classification_accuracy)
         assert len(doc["rows"]) == report.n_trajectories
+
+    def test_judges_each_candidate_once(self, model_a, small_a, monkeypatch):
+        calls = []
+        real = metrics.angular_deviation
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(metrics, "angular_deviation", counted)
+        collected = []
+        evaluate(model_a, small_a["test"], small_a["frame"], collect_predictions=collected)
+        assert len(calls) == sum(len(pset.candidates) for _, _, pset in collected)
+
+    def test_accuracy_matches_classification_accuracy(self, model_a, small_a):
+        for threshold in (0.0, THRESHOLD_DEG, 180.0):
+            collected = []
+            report = evaluate(
+                model_a, small_a["test"], small_a["frame"], threshold=threshold, collect_predictions=collected
+            )
+            triples = [(pset, truth, observed.xy[-1]) for observed, truth, pset in collected]
+            assert report.classification_accuracy == classification_accuracy(triples, threshold)
+
+    def test_correct_weight_is_likelihood_of_correct_candidates(self, model_a, small_a):
+        collected = []
+        report = evaluate(model_a, small_a["test"], small_a["frame"], collect_predictions=collected)
+        for row, (observed, truth, pset) in zip(report.rows, collected):
+            expected = 0.0
+            for cand in pset.candidates:
+                try:
+                    deviation = angular_deviation(cand.trajectory, truth, observed.xy[-1])
+                except ValueError:
+                    continue
+                if deviation <= THRESHOLD_DEG:
+                    expected += cand.likelihood
+            assert row["correct_weight"] == expected
+
+    def test_horizon_comes_from_model(self, model_a, small_a):
+        collected = []
+        evaluate(model_a, small_a["test"], small_a["frame"], collect_predictions=collected)
+        cfg = model_a.config
+        for observed, truth, pset in collected:
+            assert len(observed) == round(cfg.t_obs / cfg.dt)
+            assert len(truth) == round(cfg.t_pred / cfg.dt)
+            assert all(len(c.trajectory) == len(truth) for c in pset.candidates)
+
+    def test_table_row_uses_paper_names(self, model_a, small_a):
+        report = evaluate(model_a, small_a["test"], small_a["frame"])
+        row = report.table_row("tasnsc", "A", "B")
+        assert row == {
+            "algorithm": "TASNSC",
+            "accuracy": report.classification_accuracy,
+            "mhd": report.mean_mhd,
+            "time": report.mean_predict_time,
+            "train_in": "A",
+            "test_in": "B",
+        }
+        assert report.table_row("baseline", "A", "A")["algorithm"] == "ASNSC"
 
 
 class TestOutputs:

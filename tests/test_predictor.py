@@ -239,3 +239,42 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
+
+
+def edited_model_file(model, tmp_path, edit):
+    """Save ``model``, apply ``edit`` to the JSON document, write it back."""
+    import json
+
+    path = tmp_path / "edited.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("atom", ["negative", "k"])
+    def test_atom_index_out_of_range(self, model_a, tmp_path, atom):
+        k = model_a.dictionary.k
+        bad = -k if atom == "negative" else k
+
+        def edit(doc):
+            doc["patterns"][0]["atoms"] = [bad, 0]
+
+        with pytest.raises(ValueError, match=rf"atom outside \[0, {k}\)"):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+    def test_transitions_not_square(self, model_a, tmp_path):
+        def edit(doc):
+            doc["transitions"] = [row[:-1] for row in doc["transitions"]]
+
+        with pytest.raises(ValueError, match="transitions have shape"):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+    def test_atom_dimension_differs_from_grid(self, model_a, tmp_path):
+        def edit(doc):
+            doc["dictionary"]["atoms"] = [atom[:-4] for atom in doc["dictionary"]["atoms"]]
+
+        with pytest.raises(ValueError, match="dictionary atoms have dimension"):
+            load_model(edited_model_file(model_a, tmp_path, edit))
