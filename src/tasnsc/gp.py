@@ -3,9 +3,12 @@
 Each motion pattern is a pair of independent GPs mapping position to the x
 and y velocity components. The kernel is an axis-separable squared
 exponential; fits cache a Cholesky factorization of the regularized Gram
-matrix, so posterior queries are cheap and the model is immutable.
+matrix, so posterior queries are cheap and the model is immutable. The two
+GPs of a pattern share their inputs, and with them one factorization
+(:meth:`GPModel.with_targets`).
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +77,11 @@ class GPModel:
 
     def __init__(self, inputs, targets, kernel: Kernel):
         inputs = np.asarray(inputs, dtype=float).reshape(-1, 2)
-        targets = np.asarray(targets, dtype=float).ravel()
         if len(inputs) == 0:
             raise GPFitError("GP fit needs at least one training point")
-        if len(inputs) != len(targets):
-            raise ValueError("inputs and targets lengths differ")
-        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
+        if not np.all(np.isfinite(inputs)):
             raise ValueError("GP training data contains non-finite values")
+        targets = _checked_targets(targets, len(inputs))
         gram = kernel_matrix(kernel, inputs, inputs)
         gram[np.diag_indices_from(gram)] += kernel.noise_sd**2
         try:
@@ -96,8 +97,27 @@ class GPModel:
         self._chol = chol
         self._alpha = cho_solve(chol, targets)
 
+    def with_targets(self, targets) -> "GPModel":
+        """The GP on the same inputs and kernel fit to other targets.
+
+        Shares this model's Cholesky factor; only the weights are solved.
+        """
+        twin = copy.copy(self)
+        twin.targets = _checked_targets(targets, len(self.inputs))
+        twin._alpha = cho_solve(self._chol, twin.targets)
+        return twin
+
     def __len__(self) -> int:
         return len(self.targets)
+
+
+def _checked_targets(targets, n: int) -> np.ndarray:
+    targets = np.asarray(targets, dtype=float).ravel()
+    if len(targets) != n:
+        raise ValueError("inputs and targets lengths differ")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("GP training data contains non-finite values")
+    return targets
 
 
 def fit(inputs, targets, kernel: Kernel) -> GPModel:

@@ -255,7 +255,7 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     for (i, j) in sorted(blocks):
         samples = _subsample(np.vstack(blocks[(i, j)]), config.max_gp_points)
         gp_x = GPModel(samples[:, :2], samples[:, 2], config.kernel)
-        gp_y = GPModel(samples[:, :2], samples[:, 3], config.kernel)
+        gp_y = gp_x.with_targets(samples[:, 3])
         patterns.append(
             MotionPattern(atoms=(i, j), gp_x=gp_x, gp_y=gp_y, prior_weight=transitions[i, j] / total)
         )
@@ -401,12 +401,12 @@ def load_model(path) -> TasnscModel:
     patterns = []
     for rec in doc["patterns"]:
         kernel = Kernel.from_dict(rec["kernel"])
-        inputs = np.asarray(rec["inputs"], dtype=float)
+        gp_x = GPModel(np.asarray(rec["inputs"], dtype=float), np.asarray(rec["vx"], dtype=float), kernel)
         patterns.append(
             MotionPattern(
                 atoms=tuple(rec["atoms"]),
-                gp_x=GPModel(inputs, np.asarray(rec["vx"], dtype=float), kernel),
-                gp_y=GPModel(inputs, np.asarray(rec["vy"], dtype=float), kernel),
+                gp_x=gp_x,
+                gp_y=gp_x.with_targets(np.asarray(rec["vy"], dtype=float)),
                 prior_weight=float(rec["prior_weight"]),
             )
         )

@@ -9,13 +9,22 @@ alternating minimization of
 
 Each coordinate-descent code update soft-thresholds at ``lam`` and clamps
 at zero; each atom update is the exact least-squares minimizer renormalized
-to the unit sphere, so the objective never increases across a sweep.
+to the unit sphere, so the objective never increases across a sweep
+(HALS-style coordinate updates, Cichocki & Phan 2009, on the semi-NMF model
+of Ding, Li & Jordan 2010).
+
+The features are very sparse (well under 1% of the (cell, channel) entries
+are nonzero), so the updates run in Gram form on a sparse ``X``: the code
+pass reads from ``D^T X`` and ``D^T D``, the atom pass from ``X A^T`` and
+``A A^T``, and the dense residual ``X - D A`` is formed only once, for the
+exact objective of the last sweep.
 """
 
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .trajectory import Trajectory, TrajectoryError, velocities
 
@@ -94,6 +103,8 @@ class Dictionary:
         atoms = np.asarray(self.atoms, dtype=float)
         if atoms.ndim != 2:
             raise ValueError("atoms must be a (K, dim) array")
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError("dictionary atoms contain non-finite values")
         norms = np.linalg.norm(atoms, axis=1)
         if np.any(norms < 1e-12):
             raise ValueError("dictionary contains a zero atom")
@@ -171,6 +182,11 @@ def sparse_objective(features: np.ndarray, atoms: np.ndarray, codes: np.ndarray,
     return float(0.5 * np.sum(resid * resid) + lam * np.sum(codes))
 
 
+def _sample_errors(sq_norms, DtX, DtD, A) -> np.ndarray:
+    """||x_j - D a_j||^2 per sample, from ||x_j||^2, D^T X and D^T D."""
+    return sq_norms - 2.0 * np.sum(A * DtX, axis=0) + np.sum(A * (DtD @ A), axis=0)
+
+
 def learn_dictionary(
     features,
     k_atoms: int,
@@ -180,28 +196,43 @@ def learn_dictionary(
 ) -> tuple[Dictionary, SparseCodes]:
     """Alternating minimization for the semi-nonnegative sparse coding model.
 
-    ``features`` is an (n, dim) array with one sample per row. Returns the
-    learned dictionary and the codes; ``codes.objective`` records the
-    objective after every full sweep and is non-increasing.
+    ``features`` is an (n, dim) array with one sample per row; non-finite
+    values raise ``ValueError``. Returns the learned dictionary and the
+    codes; ``codes.objective`` records the objective after every full sweep
+    and is non-increasing. An atom left without codes is reseated on the
+    worst-reconstructed sample, ``argmax_j ||x_j - D a_j||^2``.
+
+    Both coordinate passes work in Gram form on a sparse copy of ``X``, so
+    the dense dim x n residual ``X - D A`` is never updated. The code pass
+    reads atom k's correlation as ``(D^T X)[k] - (D^T D)[k] @ A + A[k]``;
+    the atom pass reads the least-squares target as
+    ``(X A^T)[:, k] - D @ (A A^T)[:, k] + D[:, k] (A A^T)[k, k]``. The
+    objective of every sweep but the last comes from the same Gram
+    products, ``0.5 (||X||^2 - 2 <A, D^T X> + <A, D^T D A>) + lam sum(A)``;
+    the last sweep forms the residual explicitly, so ``objective[-1]`` is
+    exact even where the Gram identity would cancel to round-off.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("features must be a nonempty (n, dim) array")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features contain non-finite values")
     if k_atoms < 1:
         raise ValueError(f"need at least one atom, got {k_atoms}")
     if lam < 0:
         raise ValueError(f"sparsity weight must be nonnegative, got {lam}")
-    X = X.T  # columns are samples
-    dim, n = X.shape
+    n, dim = X.shape
     if k_atoms > dim:
         logger.warning("k_atoms=%d exceeds feature dimension %d", k_atoms, dim)
+    Xs = sparse.csr_matrix(X)  # (n, dim); products with it cost O(nnz)
+    sq_norms = np.sum(X * X, axis=1)
 
     rng = np.random.default_rng(seed)
     if n >= k_atoms:
         picks = rng.choice(n, size=k_atoms, replace=False)
-        D = X[:, picks].copy()
+        D = X[picks].T.copy()
     else:
-        D = np.vstack((X.T, rng.standard_normal((k_atoms - n, dim)))).T
+        D = np.vstack((X, rng.standard_normal((k_atoms - n, dim)))).T
     norms = np.linalg.norm(D, axis=0)
     dead = norms < 1e-12
     if np.any(dead):
@@ -211,41 +242,38 @@ def learn_dictionary(
 
     A = np.zeros((k_atoms, n))
     history = np.empty(iters)
-    R = X - D @ A
+    DtX = (Xs @ D).T
+    DtD = D.T @ D
     for it in range(iters):
         # Code pass: exact nonnegative coordinate minimization per atom row.
         for k in range(k_atoms):
-            a_old = A[k]
-            corr = D[:, k] @ R + a_old  # residual with atom k's own term restored
-            a_new = np.maximum(corr - lam, 0.0)
-            delta = a_old - a_new
-            if np.any(delta):
-                R += np.outer(D[:, k], delta)
-                A[k] = a_new
+            corr = DtX[k] - DtD[k] @ A + A[k]  # residual with atom k's own term restored
+            A[k] = np.maximum(corr - lam, 0.0)
         # Atom pass: sphere-constrained least squares, one atom at a time.
+        XAt = Xs.T @ A.T
+        AAt = A @ A.T
         for k in range(k_atoms):
-            ak = A[k]
-            weight = ak @ ak
+            weight = AAt[k, k]
             if weight == 0.0:
                 # Unused atom contributes nothing; reseat it on the worst
                 # reconstructed sample without changing the objective.
-                j = int(np.argmax(np.sum(R * R, axis=0)))
-                cand = X[:, j]
+                j = int(np.argmax(_sample_errors(sq_norms, (Xs @ D).T, D.T @ D, A)))
+                cand = X[j]
                 if np.linalg.norm(cand) < 1e-12:
                     cand = rng.standard_normal(dim)
                 D[:, k] = cand / np.linalg.norm(cand)
                 continue
-            g = R @ ak + D[:, k] * weight
+            g = XAt[:, k] - D @ AAt[:, k] + D[:, k] * weight
             g_norm = np.linalg.norm(g)
             if g_norm < 1e-12:
                 continue
-            d_new = g / g_norm
-            R += np.outer(D[:, k] - d_new, ak)
-            D[:, k] = d_new
-        # Refresh the residual to keep incremental rank-1 drift out of the
-        # objective trace.
-        R = X - D @ A
-        history[it] = 0.5 * np.sum(R * R) + lam * np.sum(A)
+            D[:, k] = g / g_norm
+        if it == iters - 1:
+            history[it] = sparse_objective(X, D.T, A, lam)
+        else:
+            DtX = (Xs @ D).T
+            DtD = D.T @ D
+            history[it] = 0.5 * np.sum(_sample_errors(sq_norms, DtX, DtD, A)) + lam * np.sum(A)
 
     return Dictionary(atoms=D.T), SparseCodes(matrix=A, objective=history)
 

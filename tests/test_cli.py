@@ -187,6 +187,18 @@ class TestEvaluate:
         assert rc == 2
         assert "atom outside" in capsys.readouterr().err
 
+    def test_non_finite_atom_exits_2(self, workdir, model_a_path, tmp_path, capsys):
+        doc = json.loads(model_a_path.read_text())
+        doc["dictionary"]["atoms"][0][0] = float("nan")
+        bad = tmp_path / "nan_model.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            ["evaluate", "--model", str(bad), "--data", str(workdir["test_a"]),
+             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_dt_mismatch_exits_3(self, workdir, model_a_path, tmp_path, capsys):
         data = tmp_path / "quarter.jsonl"
         assert main(["generate", "--scene", str(workdir["scene_a"]), "--n", "3", "--dt", "0.25",

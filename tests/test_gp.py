@@ -3,6 +3,7 @@ import pytest
 
 from tasnsc.gp import (
     GPFitError,
+    GPModel,
     Kernel,
     MotionPattern,
     fit,
@@ -69,6 +70,28 @@ class TestFit:
     def test_empty_rejected(self):
         with pytest.raises(GPFitError):
             fit(np.empty((0, 2)), np.empty(0), Kernel())
+
+
+class TestWithTargets:
+    def test_matches_fresh_fit_and_shares_factor(self):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-3.0, 3.0, (15, 2))
+        vx, vy = rng.normal(size=15), rng.normal(size=15)
+        gp_x = GPModel(pts, vx, Kernel())
+        gp_y = gp_x.with_targets(vy)
+        assert gp_y._chol is gp_x._chol
+        assert gp_y.inputs is gp_x.inputs
+        query = rng.uniform(-4.0, 4.0, (7, 2))
+        for got, want in zip(posterior(gp_y, query), posterior(GPModel(pts, vy, Kernel()), query)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(gp_x.targets, vx)
+
+    def test_targets_validated(self):
+        gp = GPModel([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0], Kernel())
+        with pytest.raises(ValueError, match="lengths differ"):
+            gp.with_targets([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            gp.with_targets([1.0, np.nan])
 
 
 class TestPosterior:

@@ -86,6 +86,10 @@ class TestTrain:
             assert np.all(comps[:, 0] >= g.x_min) and np.all(comps[:, 0] <= g.x_max)
             assert np.all(comps[:, 1] >= g.y_min) and np.all(comps[:, 1] <= g.y_max)
 
+    def test_pattern_gps_share_one_factor(self, model_a):
+        for pattern in model_a.patterns:
+            assert pattern.gp_y._chol is pattern.gp_x._chol
+
     def test_patterns_have_positive_counts(self, model_a):
         for pat in model_a.patterns:
             assert model_a.transitions[pat.atoms] > 0
@@ -229,6 +233,12 @@ class TestModelIO:
             assert b.likelihood == pytest.approx(a.likelihood, abs=1e-12)
             assert np.max(np.abs(a.trajectory.xy - b.trajectory.xy)) < 1e-9
 
+    def test_loaded_pattern_gps_share_one_factor(self, model_a, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(model_a, path)
+        for pattern in load_model(path).patterns:
+            assert pattern.gp_y._chol is pattern.gp_x._chol
+
     def test_version_checked(self, model_a, tmp_path):
         import json
 
@@ -277,4 +287,11 @@ class TestModelChecks:
             doc["dictionary"]["atoms"] = [atom[:-4] for atom in doc["dictionary"]["atoms"]]
 
         with pytest.raises(ValueError, match="dictionary atoms have dimension"):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+    def test_non_finite_atom(self, model_a, tmp_path):
+        def edit(doc):
+            doc["dictionary"]["atoms"][0][0] = float("nan")
+
+        with pytest.raises(ValueError, match="non-finite"):
             load_model(edited_model_file(model_a, tmp_path, edit))

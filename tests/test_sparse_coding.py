@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tasnsc import sparse_coding
@@ -158,6 +158,142 @@ class TestLearnDictionary:
             learn_dictionary(np.ones((3, 4)), 0)
         with pytest.raises(ValueError):
             learn_dictionary(np.ones((3, 4)), 2, lam=-0.5)
+
+    def test_final_objective_is_explicit_residual(self):
+        # On rank-one data the Gram-form objective cancels to round-off (it
+        # reads exactly 0 here); the last entry must be the explicit one.
+        rng = np.random.default_rng(1)
+        v = rng.normal(size=12)
+        X = np.tile(v / np.linalg.norm(v), (20, 1))
+        dictionary, codes = learn_dictionary(X, k_atoms=1, lam=0.0, iters=50, seed=0)
+        assert codes.objective[-1] == sparse_objective(X, dictionary.atoms, codes.matrix, 0.0)
+        assert codes.objective[-1] > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.ones((3, 4))
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            learn_dictionary(X, 2)
+
+    def test_unused_atoms_reseated_on_worst_sample(self):
+        # Three samples, five atoms: the two random-normal atoms get no code
+        # at lam=0.3 and are reseated in the first atom pass. They come after
+        # every used atom, so the residual they were reseated on is the one
+        # the returned dictionary and codes leave.
+        X = np.random.default_rng(5).normal(size=(3, 6))
+        dictionary, codes = learn_dictionary(X, k_atoms=5, lam=0.3, iters=1, seed=0)
+        used = codes.matrix.any(axis=1)
+        assert list(used) == [True, True, True, False, False]
+        resid = X.T - dictionary.atoms.T @ codes.matrix
+        errors = np.sum(resid * resid, axis=0)
+        worst = int(np.argmax(errors))
+        assert errors[worst] - np.sort(errors)[-2] > 0.01  # no near-tie for rounding to break
+        for k in (3, 4):
+            assert np.allclose(dictionary.atoms[k], X[worst] / np.linalg.norm(X[worst]), atol=1e-12)
+
+        dictionary, codes = learn_dictionary(X, k_atoms=5, lam=0.3, iters=40, seed=0)
+        assert np.allclose(np.linalg.norm(dictionary.atoms, axis=1), 1.0, atol=1e-12)
+        assert np.all(np.diff(codes.objective) <= 1e-9 * (1.0 + abs(codes.objective[0])))
+
+
+class TestDictionary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_atom_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dictionary(atoms=[[bad, 1.0], [1.0, 0.0]])
+
+
+def reference_learn_dictionary(features, k_atoms, lam, iters, seed):
+    """Residual-form alternating minimization: the scalar reference.
+
+    The loop ``learn_dictionary`` ran before it moved to Gram form: every
+    coordinate update is a rank-1 update of the dense residual ``X - D A``.
+    Also returns a margin: the smallest soft-threshold argument
+    ``|corr - lam|``, code weight ``a_k . a_k`` and atom target norm met.
+    Where one is near zero, rounding picks the path: the exact
+    ``weight == 0.0`` and ``g_norm < 1e-12`` tests flip, or a sample with
+    ``corr = lam`` enters or stays out of an atom's support, which an
+    unstable fixed point (e.g. ``lam = 0``, an atom orthogonal to some
+    samples) then amplifies sweep by sweep.
+    """
+    X = np.asarray(features, dtype=float).T
+    dim, n = X.shape
+    rng = np.random.default_rng(seed)
+    if n >= k_atoms:
+        D = X[:, rng.choice(n, size=k_atoms, replace=False)].copy()
+    else:
+        D = np.vstack((X.T, rng.standard_normal((k_atoms - n, dim)))).T
+    norms = np.linalg.norm(D, axis=0)
+    dead = norms < 1e-12
+    if np.any(dead):
+        D[:, dead] = rng.standard_normal((dim, int(dead.sum())))
+        norms = np.linalg.norm(D, axis=0)
+    D /= norms
+
+    A = np.zeros((k_atoms, n))
+    history = np.empty(iters)
+    margin = np.inf
+    R = X - D @ A
+    for it in range(iters):
+        for k in range(k_atoms):
+            a_old = A[k]
+            corr = D[:, k] @ R + a_old
+            margin = min(margin, np.min(np.abs(corr - lam)))
+            a_new = np.maximum(corr - lam, 0.0)
+            delta = a_old - a_new
+            if np.any(delta):
+                R += np.outer(D[:, k], delta)
+                A[k] = a_new
+        for k in range(k_atoms):
+            ak = A[k]
+            weight = ak @ ak
+            margin = min(margin, weight)
+            if weight == 0.0:
+                j = int(np.argmax(np.sum(R * R, axis=0)))
+                cand = X[:, j]
+                if np.linalg.norm(cand) < 1e-12:
+                    cand = rng.standard_normal(dim)
+                D[:, k] = cand / np.linalg.norm(cand)
+                continue
+            g = R @ ak + D[:, k] * weight
+            g_norm = np.linalg.norm(g)
+            margin = min(margin, g_norm)
+            if g_norm < 1e-12:
+                continue
+            d_new = g / g_norm
+            R += np.outer(D[:, k] - d_new, ak)
+            D[:, k] = d_new
+        R = X - D @ A
+        history[it] = 0.5 * np.sum(R * R) + lam * np.sum(A)
+    return D.T, A, history, margin
+
+
+@st.composite
+def _well_posed_problems(draw):
+    """Dense Gaussian or sparse nonnegative data with k_atoms <= min(n, dim)."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 10))
+    k_atoms = draw(st.integers(1, min(n, dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, dim))
+    if draw(st.booleans()):
+        X = np.abs(X) * (rng.random((n, dim)) < 0.4)  # like featurize: sparse, nonnegative
+    return X, k_atoms, draw(st.floats(0.0, 0.5)), draw(st.integers(1, 25)), draw(st.integers(0, 2**16))
+
+
+class TestGramFormOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=_well_posed_problems())
+    def test_matches_residual_form(self, problem):
+        X, k_atoms, lam, iters, seed = problem
+        atoms, codes, history, margin = reference_learn_dictionary(X, k_atoms, lam, iters, seed)
+        assume(margin > 1e-6)  # no reseat, no path picked by rounding
+        dictionary, got = learn_dictionary(X, k_atoms, lam, iters, seed)
+        tol = 1e-9 * (1.0 + abs(history[0]))
+        assert np.max(np.abs(dictionary.atoms - atoms)) <= tol
+        assert np.max(np.abs(got.matrix - codes)) <= tol
+        assert np.max(np.abs(got.objective - history)) <= tol
 
 
 def handmade_dictionary():
