@@ -35,6 +35,7 @@ __all__ = [
     "from_curbside",
     "transform_trajectory",
     "load_frame",
+    "frame_from_config",
     "frame_to_config",
 ]
 
@@ -70,6 +71,8 @@ class CurbsideFrame:
     def __post_init__(self):
         for name in ("origin", "e1", "e2"):
             v = _as_point(getattr(self, name)).copy()
+            if not np.all(np.isfinite(v)):
+                raise DegenerateFrameError(f"frame {name} must be finite, got {v}")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
         if abs(np.linalg.norm(self.e1) - 1.0) > 1e-12 or abs(np.linalg.norm(self.e2) - 1.0) > 1e-12:
@@ -81,22 +84,6 @@ class CurbsideFrame:
     def basis(self) -> np.ndarray:
         """2x2 matrix with e1 and e2 as columns."""
         return np.column_stack((self.e1, self.e2))
-
-    @property
-    def cos_alpha(self) -> float:
-        # Taken straight from the dot product so orthogonal curbs give an
-        # exact zero (arccos/cos round-tripping would not).
-        return float(self.e1 @ self.e2)
-
-    @property
-    def sin_alpha(self) -> float:
-        return float(np.sqrt(max(0.0, 1.0 - self.cos_alpha**2)))
-
-    @property
-    def perp(self) -> np.ndarray:
-        """Unit vector orthogonal to e1, on the e2 side."""
-        p = self.e2 - (self.e1 @ self.e2) * self.e1
-        return p / np.linalg.norm(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,24 +112,21 @@ class AffineMap2D:
         pts = np.asarray(points, dtype=float)
         return pts @ self.linear.T + self.translation
 
-    def inverse(self) -> "AffineMap2D":
-        inv = np.linalg.inv(self.linear)
-        return AffineMap2D(inv, -inv @ self.translation)
-
 
 def frame_from_curbs(origin, dir1, dir2) -> CurbsideFrame:
     """Build a curbside frame from the corner point and two curb directions.
 
     Directions need not be normalized. Raises :class:`DegenerateFrameError`
-    if either direction is near zero or the curbs are (anti)parallel.
+    if the origin is not finite, either direction is near zero or not
+    finite, or the curbs are (anti)parallel.
     """
     origin = _as_point(origin)
     d1 = _as_point(dir1)
     d2 = _as_point(dir2)
     n1 = np.linalg.norm(d1)
     n2 = np.linalg.norm(d2)
-    if n1 < _MIN_DIR_NORM or n2 < _MIN_DIR_NORM:
-        raise DegenerateFrameError("curb direction has near-zero length")
+    if not (_MIN_DIR_NORM <= n1 < np.inf and _MIN_DIR_NORM <= n2 < np.inf):
+        raise DegenerateFrameError("curb direction has near-zero or non-finite length")
     e1 = d1 / n1
     e2 = d2 / n2
     cos_a = float(np.clip(e1 @ e2, -1.0, 1.0))
@@ -208,14 +192,30 @@ def transform_trajectory(frame: CurbsideFrame, traj):
     )
 
 
+def _check_keys(doc, keys, what: str, partial: bool = False) -> dict:
+    """``doc`` if it is a JSON object holding only ``keys``, and every one unless ``partial``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
+    missing = [] if partial else [k for k in keys if k not in doc]
+    if unknown or missing:
+        raise ValueError(f"{what}: unknown keys {unknown}, missing keys {missing}")
+    return doc
+
+
+_FRAME_KEYS = ("origin", "curb1", "curb2")
+
+
+def frame_from_config(cfg: dict) -> CurbsideFrame:
+    """Frame from ``{"origin": [x, y], "curb1": [dx, dy], "curb2": [dx, dy]}``, exactly those keys."""
+    cfg = _check_keys(cfg, _FRAME_KEYS, "frame config")
+    return frame_from_curbs(*(cfg[k] for k in _FRAME_KEYS))
+
+
 def load_frame(path) -> CurbsideFrame:
-    """Read a frame config file: ``{"origin": [x, y], "curb1": [dx, dy], "curb2": [dx, dy]}``."""
+    """Read a frame config file (see :func:`frame_from_config`)."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    try:
-        return frame_from_curbs(cfg["origin"], cfg["curb1"], cfg["curb2"])
-    except KeyError as exc:
-        raise ValueError(f"frame config {path} is missing key {exc}") from exc
+        return frame_from_config(json.load(fh))
 
 
 def frame_to_config(frame: CurbsideFrame) -> dict:

@@ -46,20 +46,8 @@ class Kernel:
 
     def __post_init__(self):
         for name in ("length_x", "length_y", "signal_sd", "noise_sd"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"kernel parameter {name} must be strictly positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "length_x": self.length_x,
-            "length_y": self.length_y,
-            "signal_sd": self.signal_sd,
-            "noise_sd": self.noise_sd,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Kernel":
-        return cls(d["length_x"], d["length_y"], d["signal_sd"], d["noise_sd"])
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"kernel parameter {name} must be positive and finite")
 
 
 def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:

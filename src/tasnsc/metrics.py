@@ -12,7 +12,7 @@ across the test set, weighting each by its prediction likelihood:
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -119,16 +119,9 @@ class EvalReport:
     mean_weighted_mhd: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "classification_accuracy": self.classification_accuracy,
-            "mean_mhd": self.mean_mhd,
-            "mean_predict_time": self.mean_predict_time,
-            "threshold_deg": self.threshold_deg,
-            "n_trajectories": self.n_trajectories,
-            "rows": self.rows,
-        }
-        if self.mean_weighted_mhd is not None:
-            d["mean_weighted_mhd"] = self.mean_weighted_mhd
+        d = asdict(self)
+        if self.mean_weighted_mhd is None:
+            del d["mean_weighted_mhd"]
         return d
 
     def table_row(self, mode: str, train_in: str, test_in: str) -> dict:

@@ -14,13 +14,14 @@ local-frame learning with no transfer.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .geometry import (
     CurbsideFrame,
-    frame_from_curbs,
+    _check_keys,
+    frame_from_config,
     frame_to_config,
     from_curbside,
     identity_frame,
@@ -55,6 +56,8 @@ MODEL_VERSION = 1
 
 MODES = ("tasnsc", "baseline")
 
+_INT_FIELDS = ("k_atoms", "iters", "min_segment", "top_m", "max_gp_points", "seed")
+
 
 class PipelineError(RuntimeError):
     """Raised when training or prediction cannot proceed on the given data."""
@@ -84,35 +87,35 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("dt", "t_pred", "grid_cell"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.t_obs < 0 or self.sparsity < 0 or self.iters < 0:
-            raise ValueError("t_obs, sparsity and iters must be nonnegative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not (0 <= self.t_obs < np.inf and 0 <= self.sparsity < np.inf and self.iters >= 0):
+            raise ValueError("t_obs, sparsity and iters must be nonnegative and finite")
         if self.top_m < 1 or self.k_atoms < 1 or self.min_segment < 1 or self.max_gp_points < 1:
             raise ValueError("top_m, k_atoms, min_segment and max_gp_points must be at least 1")
 
     def to_dict(self) -> dict:
-        d = {
-            f: getattr(self, f)
-            for f in self.__dataclass_fields__
-            if f not in ("kernel", "grid")
-        }
-        d["kernel"] = self.kernel.to_dict()
-        d["grid"] = self.grid.to_dict() if self.grid is not None else None
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "kernel" in d and d["kernel"] is not None and not isinstance(d["kernel"], Kernel):
-            d["kernel"] = Kernel.from_dict(d["kernel"])
-        if "grid" in d and d["grid"] is not None and not isinstance(d["grid"], GridSpec):
-            d["grid"] = GridSpec.from_dict(d["grid"])
+        """Config from its JSON form: missing keys take their defaults, unknown keys are rejected."""
+        d = dict(_check_keys(d, cls.__dataclass_fields__, "pipeline config", partial=True))
+        if "kernel" in d:
+            d["kernel"] = _record(Kernel, d["kernel"], "kernel")
+        if d.get("grid") is not None:
+            d["grid"] = _record(GridSpec, d["grid"], "grid")
         return cls(**d)
+
+
+def _record(cls, doc, what: str):
+    """A :class:`Kernel` or :class:`GridSpec` from a JSON object holding exactly its fields."""
+    return cls(**_check_keys(doc, cls.__dataclass_fields__, what))
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +358,7 @@ def _model_to_dict(model: TasnscModel) -> dict:
         "version": MODEL_VERSION,
         "config": model.config.to_dict(),
         "frame": frame_to_config(model.frame),
-        "grid": model.grid.to_dict(),
+        "grid": asdict(model.grid),
         "dictionary": {
             "k": model.dictionary.k,
             "lambda": model.config.sparsity,
@@ -368,7 +371,7 @@ def _model_to_dict(model: TasnscModel) -> dict:
             {
                 "atoms": list(p.atoms),
                 "prior_weight": p.prior_weight,
-                "kernel": p.gp_x.kernel.to_dict(),
+                "kernel": asdict(p.gp_x.kernel),
                 "inputs": p.gp_x.inputs.tolist(),
                 "vx": p.gp_x.targets.tolist(),
                 "vy": p.gp_y.targets.tolist(),
@@ -393,14 +396,13 @@ def load_model(path) -> TasnscModel:
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model version {version!r} in {path}")
     config = PipelineConfig.from_dict(doc["config"])
-    frame_cfg = doc["frame"]
-    frame = frame_from_curbs(frame_cfg["origin"], frame_cfg["curb1"], frame_cfg["curb2"])
-    grid = GridSpec.from_dict(doc["grid"])
+    frame = frame_from_config(doc["frame"])
+    grid = _record(GridSpec, doc["grid"], "grid")
     dictionary = Dictionary(atoms=np.asarray(doc["dictionary"]["atoms"], dtype=float))
     transitions = np.asarray(doc["transitions"], dtype=int)
     patterns = []
     for rec in doc["patterns"]:
-        kernel = Kernel.from_dict(rec["kernel"])
+        kernel = _record(Kernel, rec["kernel"], "pattern kernel")
         gp_x = GPModel(np.asarray(rec["inputs"], dtype=float), np.asarray(rec["vx"], dtype=float), kernel)
         patterns.append(
             MotionPattern(

@@ -61,10 +61,10 @@ class GridSpec:
     cell: float = 1.0
 
     def __post_init__(self):
-        if self.cell <= 0:
-            raise ValueError(f"cell size must be positive, got {self.cell}")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise ValueError("grid bounds are empty")
+        if not 0 < self.cell < np.inf:
+            raise ValueError(f"cell size must be positive and finite, got {self.cell}")
+        if not (-np.inf < self.x_min < self.x_max < np.inf and -np.inf < self.y_min < self.y_max < np.inf):
+            raise ValueError("grid bounds must be finite and nonempty")
 
     @property
     def nx(self) -> int:
@@ -78,19 +78,6 @@ class GridSpec:
     def dim(self) -> int:
         """Feature dimension: nx * ny * 4 channels."""
         return self.nx * self.ny * N_CHANNELS
-
-    def to_dict(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "cell": self.cell,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(d["x_min"], d["x_max"], d["y_min"], d["y_max"], d["cell"])
 
 
 @dataclass(frozen=True, eq=False)

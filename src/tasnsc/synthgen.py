@@ -19,11 +19,11 @@ seed per trajectory.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .geometry import CurbsideFrame, frame_from_curbs, from_curbside
+from .geometry import CurbsideFrame, _check_keys, frame_from_curbs, from_curbside
 from .trajectory import Dataset, Trajectory
 
 __all__ = ["INTENTS", "SceneSpec", "generate", "scene_a", "scene_b", "load_scene", "scene_to_config"]
@@ -54,16 +54,19 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.speed_mean <= 0 or self.speed_sd < 0:
-            raise ValueError("walking speed mean must be positive and sd nonnegative")
-        if self.sidewalk_offset <= 0 or self.approach_len <= 0 or self.exit_len <= 0:
-            raise ValueError("scene lengths must be positive")
+        if not (0 < self.speed_mean < math.inf and 0 <= self.speed_sd < math.inf):
+            raise ValueError("walking speed mean must be positive, sd nonnegative, both finite")
+        if not all(0 < x < math.inf for x in (self.sidewalk_offset, self.approach_len, self.exit_len)):
+            raise ValueError("sidewalk offset, approach and exit lengths must be positive and finite")
+        if not (0 <= self.blend_len < math.inf and 0 <= self.noise_sd < math.inf):
+            raise ValueError("blend length and noise sd must be nonnegative and finite")
         unknown = set(self.intent_mix) - set(INTENTS)
         if unknown:
             raise ValueError(f"unknown intents in mix: {sorted(unknown)}")
         total = sum(self.intent_mix.values())
-        if abs(total - 1.0) > 1e-9 or any(p < 0 for p in self.intent_mix.values()):
+        if not (abs(total - 1.0) <= 1e-9 and all(p >= 0 for p in self.intent_mix.values())):
             raise ValueError(f"intent proportions must be nonnegative and sum to 1, got {total}")
+        self.frame()  # rejects a non-finite corner or heading and parallel curbs
 
     def frame(self) -> CurbsideFrame:
         """Curbside frame of the scene in its local coordinates."""
@@ -142,8 +145,8 @@ def generate(scene: SceneSpec, n: int, dt: float = 0.5, tag: str = "train") -> D
     """
     if n < 1:
         raise ValueError(f"need at least one trajectory, got {n}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     frame = scene.frame()
     names = [name for name in INTENTS if scene.intent_mix.get(name, 0.0) > 0.0]
     probs = np.array([scene.intent_mix[name] for name in names])
@@ -178,13 +181,9 @@ def scene_b(seed: int = 11) -> SceneSpec:
 
 
 def load_scene(path) -> SceneSpec:
-    """Read a scene config JSON; unknown keys are rejected."""
+    """Read a scene config JSON; missing keys take their defaults, unknown keys are rejected."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    known = set(SceneSpec.__dataclass_fields__)
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown scene config keys: {sorted(unknown)}")
+        cfg = _check_keys(json.load(fh), SceneSpec.__dataclass_fields__, "scene config", partial=True)
     if "corner" in cfg:
         cfg["corner"] = tuple(cfg["corner"])
     return SceneSpec(**cfg)
@@ -192,10 +191,7 @@ def load_scene(path) -> SceneSpec:
 
 def scene_to_config(scene: SceneSpec) -> dict:
     """Scene as a JSON-ready dict."""
-    cfg = {f: getattr(scene, f) for f in SceneSpec.__dataclass_fields__}
-    cfg["corner"] = list(scene.corner)
-    cfg["intent_mix"] = dict(scene.intent_mix)
-    return cfg
+    return asdict(scene)
 
 
 def with_seed(scene: SceneSpec, seed: int) -> SceneSpec:

@@ -54,6 +54,22 @@ class TestGenerate:
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
+    def test_bad_dt_exits_2(self, workdir, tmp_path, capsys, dt):
+        rc = main(["generate", "--scene", str(workdir["scene_a"]), "--n", "5", "--dt", dt,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "dt must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["speed_mean", "speed_sd", "exit_len", "noise_sd"])
+    def test_non_finite_scene_exits_2(self, workdir, tmp_path, key):
+        cfg = json.loads(workdir["scene_a"].read_text())
+        cfg[key] = float("nan")
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(cfg))
+        rc = main(["generate", "--scene", str(scene), "--n", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+
     def test_bad_scene_json_exits_2(self, tmp_path):
         bad = tmp_path / "scene.json"
         bad.write_text("{not json")
@@ -124,6 +140,45 @@ class TestTrain:
         doc = json.loads(out.read_text())
         assert doc["dictionary"]["k"] == 4  # flag beats config file
         assert doc["config"]["iters"] == 40  # config file beats default
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"dt": float("nan")}, "dt must be positive and finite"),
+            ({"t_pred": float("inf")}, "t_pred must be positive and finite"),
+            ({"sparsity": float("nan")}, "sparsity"),
+            ({"k_atoms": 2.5}, "k_atoms must be an integer"),
+            ({"max_gp_points": 10.5}, "max_gp_points must be an integer"),
+            ({"top_m": 1.5}, "top_m must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"kernel": {"lenght_x": 2.0, "length_y": 2.0, "signal_sd": 1.0, "noise_sd": 0.4}}, "'lenght_x'"),
+            ({"kernel": {"length_x": 2.0, "signal_sd": 1.0, "noise_sd": 0.4}}, "missing keys ['length_y']"),
+            ({"kernel": {"length_x": float("nan"), "length_y": 2.0, "signal_sd": 1.0, "noise_sd": 0.4}},
+             "length_x must be positive and finite"),
+            ({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cel": 1}}, "'cel'"),
+            ({"grid": {"x_min": float("nan"), "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1}}, "finite"),
+        ],
+    )
+    def test_bad_config_exits_2(self, workdir, tmp_path, capsys, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "model.json"
+        rc = main(
+            ["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]),
+             "--out", str(out), "--config", str(path)]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_frame_exits_2(self, workdir, tmp_path, capsys):
+        frame = tmp_path / "frame.json"
+        frame.write_text('{"origin": [NaN, 0], "curb1": [1, 0], "curb2": [0, 1]}')
+        rc = main(
+            ["train", "--data", str(workdir["train_a"]), "--frame", str(frame), "--out", str(tmp_path / "m.json")]
+        )
+        assert rc == 2
+        assert "frame origin must be finite" in capsys.readouterr().err
 
     def test_baseline_mode(self, workdir, tmp_path):
         out = tmp_path / "model.json"
@@ -198,6 +253,29 @@ class TestEvaluate:
         )
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["patterns"][0]["kernel"].update(lenght_x=2.0), "unknown keys ['lenght_x']"),
+            (lambda doc: doc["grid"].pop("cell"), "missing keys ['cell']"),
+            (lambda doc: doc["frame"].pop("curb2"), "missing keys ['curb2']"),
+            (lambda doc: doc["config"].update(dt=float("nan")), "dt must be positive and finite"),
+            (lambda doc: doc["config"].update(top_m=1.5), "top_m must be an integer"),
+        ],
+        ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m"],
+    )
+    def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
+        doc = json.loads(model_a_path.read_text())
+        edit(doc)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            ["evaluate", "--model", str(bad), "--data", str(workdir["test_a"]),
+             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_dt_mismatch_exits_3(self, workdir, model_a_path, tmp_path, capsys):
         data = tmp_path / "quarter.jsonl"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from tasnsc.gp import (
     pattern_log_likelihood,
     posterior,
 )
+from tasnsc.predictor import PipelineConfig
 
 TIGHT = Kernel(length_x=2.0, length_y=2.0, signal_sd=1.0, noise_sd=1e-6)
 
@@ -41,9 +44,19 @@ class TestKernel:
         same_y = kernel_matrix(k, a, np.array([[1.0, 0.0]]))[0, 0]
         assert same_x > same_y  # a 1 m offset costs much less along the long axis
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["length_x", "length_y", "signal_sd", "noise_sd"])
+    def test_non_finite_params_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            Kernel(**{name: bad})
+
     def test_dict_round_trip(self):
+        # A kernel's JSON form is its dataclass fields, read back by the
+        # pipeline config reader.
         k = Kernel(1.5, 2.5, 0.8, 0.3)
-        assert Kernel.from_dict(k.to_dict()) == k
+        doc = json.loads(json.dumps(PipelineConfig(kernel=k).to_dict()))
+        assert doc["kernel"] == {"length_x": 1.5, "length_y": 2.5, "signal_sd": 0.8, "noise_sd": 0.3}
+        assert PipelineConfig.from_dict(doc).kernel == k
 
 
 class TestFit:

@@ -1,9 +1,14 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasnsc.geometry import frame_from_curbs, identity_frame, to_curbside, transform_trajectory
+from tasnsc.gp import Kernel
 from tasnsc.predictor import (
     PipelineConfig,
     PipelineError,
@@ -13,7 +18,7 @@ from tasnsc.predictor import (
     save_model,
     train,
 )
-from tasnsc.sparse_coding import segment
+from tasnsc.sparse_coding import GridSpec, segment
 from tasnsc.synthgen import SceneSpec, generate, scene_b, scene_to_config, with_seed
 from tasnsc.trajectory import Dataset, Trajectory, TrajectoryError, split_horizon
 
@@ -28,6 +33,62 @@ def straight_scene(**overrides):
     )
     base.update(overrides)
     return SceneSpec(**base)
+
+
+INT_FIELDS = ["k_atoms", "iters", "min_segment", "top_m", "max_gp_points", "seed"]
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("dt", math.nan), ("dt", math.inf), ("t_obs", math.nan), ("t_obs", math.inf),
+         ("t_pred", math.nan), ("t_pred", math.inf), ("sparsity", math.nan), ("sparsity", math.inf),
+         ("grid_cell", math.nan), ("grid_cell", math.inf)],
+    )
+    def test_non_finite_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    def test_non_integer_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PipelineConfig(**{name: bad})
+
+    def test_numpy_integers_accepted(self):
+        assert PipelineConfig(k_atoms=np.int64(4)).k_atoms == 4
+
+    def test_dict_round_trip(self):
+        grid = GridSpec(-1.0, 4.0, -2.0, 3.0, 0.5)
+        cfg = PipelineConfig(k_atoms=5, kernel=Kernel(1.5, 2.5, 0.8, 0.3), grid=grid)
+        doc = json.loads(json.dumps(cfg.to_dict()))
+        assert doc["grid"] == {"x_min": -1.0, "x_max": 4.0, "y_min": -2.0, "y_max": 3.0, "cell": 0.5}
+        assert PipelineConfig.from_dict(doc) == cfg
+
+    def test_missing_top_level_keys_take_defaults(self):
+        assert PipelineConfig.from_dict({"iters": 40}) == PipelineConfig(iters=40)
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("unknown keys ['itres']")):
+            PipelineConfig.from_dict({"itres": 40})
+
+    def test_unknown_kernel_key_rejected(self):
+        kernel = {"lenght_x": 2.0, "length_y": 2.0, "signal_sd": 1.0, "noise_sd": 0.4}
+        message = "kernel: unknown keys ['lenght_x'], missing keys ['length_x']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PipelineConfig.from_dict({"kernel": kernel})
+
+    def test_missing_kernel_key_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("missing keys ['length_y']")):
+            PipelineConfig.from_dict({"kernel": {"length_x": 2.0, "signal_sd": 1.0, "noise_sd": 0.4}})
+
+    def test_null_kernel_rejected(self):
+        with pytest.raises(ValueError, match="kernel must be a JSON object"):
+            PipelineConfig.from_dict({"kernel": None})
+
+    def test_missing_grid_key_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("grid: unknown keys [], missing keys ['cell']")):
+            PipelineConfig.from_dict({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1}})
 
 
 class TestTrain:
@@ -295,3 +356,95 @@ class TestModelChecks:
 
         with pytest.raises(ValueError, match="non-finite"):
             load_model(edited_model_file(model_a, tmp_path, edit))
+
+    def test_unknown_pattern_kernel_key(self, model_a, tmp_path):
+        def edit(doc):
+            doc["patterns"][0]["kernel"]["lenght_x"] = doc["patterns"][0]["kernel"].pop("length_x")
+
+        message = "pattern kernel: unknown keys ['lenght_x'], missing keys ['length_x']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+    def test_missing_grid_key(self, model_a, tmp_path):
+        def edit(doc):
+            del doc["grid"]["y_max"]
+
+        with pytest.raises(ValueError, match=re.escape("grid: unknown keys [], missing keys ['y_max']")):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+    def test_frame_missing_curb2(self, model_a, tmp_path):
+        def edit(doc):
+            del doc["frame"]["curb2"]
+
+        with pytest.raises(ValueError, match=re.escape("frame config: unknown keys [], missing keys ['curb2']")):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+    def test_non_finite_frame_origin(self, model_a, tmp_path):
+        def edit(doc):
+            doc["frame"]["origin"] = [float("nan"), 0.0]
+
+        with pytest.raises(ValueError, match="frame origin must be finite"):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+    def test_non_integer_config_field(self, model_a, tmp_path):
+        def edit(doc):
+            doc["config"]["top_m"] = 1.5
+
+        with pytest.raises(ValueError, match="top_m must be an integer"):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+
+def same_predictions(p1, p2) -> bool:
+    """Bitwise equality of two prediction sets."""
+    return len(p1.candidates) == len(p2.candidates) and all(
+        a.atoms == b.atoms
+        and a.likelihood == b.likelihood
+        and np.array_equal(a.trajectory.xy, b.trajectory.xy)
+        and np.array_equal(a.trajectory.times, b.trajectory.times)
+        and np.array_equal(a.step_variance, b.step_variance)
+        for a, b in zip(p1.candidates, p2.candidates)
+    )
+
+
+def shuffled(d: dict, rnd) -> dict:
+    keys = list(d)
+    rnd.shuffle(keys)
+    return {k: d[k] for k in keys}
+
+
+class TestSaveLoadProperty:
+    """A saved and reloaded model predicts bitwise the same, whatever its key order."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        length_x=st.floats(0.3, 5.0),
+        length_y=st.floats(0.3, 5.0),
+        signal_sd=st.floats(0.2, 3.0),
+        noise_sd=st.floats(0.05, 1.0),
+        cell=st.floats(0.5, 2.0),
+        top_m=st.integers(1, 5),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_reload_predicts_bitwise_same(
+        self, small_a, tmp_path_factory, length_x, length_y, signal_sd, noise_sd, cell, top_m, rnd
+    ):
+        kernel = Kernel(length_x, length_y, signal_sd, noise_sd)
+        config = PipelineConfig(k_atoms=6, iters=40, grid_cell=cell, top_m=top_m, kernel=kernel)
+        model = train(small_a["train"], small_a["frame"], config)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["config"]["kernel"] = shuffled(doc["config"]["kernel"], rnd)
+        doc["config"] = shuffled(doc["config"], rnd)
+        doc["grid"] = shuffled(doc["grid"], rnd)
+        for rec in doc["patterns"]:
+            rec["kernel"] = shuffled(rec["kernel"], rnd)
+        reordered = path.with_name("reordered.json")
+        reordered.write_text(json.dumps(shuffled(doc, rnd)))
+        loaded, reloaded = load_model(path), load_model(reordered)
+        assert loaded.config == reloaded.config == config
+        for traj in small_a["test"].trajectories[:3]:
+            obs, _ = split_horizon(traj, config.t_obs, config.t_pred)
+            pset = predict(model, small_a["frame"], obs)
+            assert same_predictions(pset, predict(loaded, small_a["frame"], obs))
+            assert same_predictions(pset, predict(reloaded, small_a["frame"], obs))

@@ -40,6 +40,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0, 1, 0, 1, -1.0)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(math.nan, 1, 0, 1, 1.0), (0, math.inf, 0, 1, 1.0), (0, 1, -math.inf, 1, 1.0), (0, 1, 0, math.nan, 1.0),
+         (0, 1, 0, 1, math.nan), (0, 1, 0, 1, math.inf)],
+    )
+    def test_non_finite_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(*bounds)
+
 
 class TestFeaturize:
     def test_single_eastward_step(self):

@@ -29,6 +29,22 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             SceneSpec(speed_mean=-1.0)
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("speed_mean", math.nan), ("speed_mean", math.inf), ("speed_sd", math.nan), ("speed_sd", math.inf),
+         ("sidewalk_offset", math.nan), ("approach_len", math.inf), ("exit_len", math.nan),
+         ("exit_len", math.inf), ("blend_len", math.nan), ("noise_sd", math.nan), ("noise_sd", math.inf),
+         ("heading", math.nan), ("alpha", math.nan), ("alpha", 0.0), ("corner", (math.nan, 0.0))],
+    )
+    def test_non_finite_rejected(self, name, bad):
+        # With a NaN speed the along-path walk never reaches the path end.
+        with pytest.raises(ValueError):
+            SceneSpec(**{name: bad})
+
+    def test_nan_intent_proportion_rejected(self):
+        with pytest.raises(ValueError, match="intent proportions"):
+            SceneSpec(intent_mix={"straight": math.nan, "left": 0.5, "right": 0.5})
+
     def test_frame_matches_angles(self):
         scene = SceneSpec(heading=0.3, alpha=math.pi / 3)
         frame = scene.frame()
@@ -121,6 +137,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(scene_a(), 0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.5])
+    def test_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            generate(scene_a(), 3, dt=dt)
+
 
 class TestSceneConfig:
     def test_round_trip(self, tmp_path):
@@ -135,3 +156,8 @@ class TestSceneConfig:
         path.write_text(json.dumps({"corner": [0, 0], "zoom": 3}))
         with pytest.raises(ValueError):
             load_scene(path)
+
+    def test_missing_keys_take_defaults(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"corner": [3.0, -2.0], "seed": 5}))
+        assert load_scene(path) == SceneSpec(corner=(3.0, -2.0), seed=5)
