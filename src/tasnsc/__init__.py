@@ -28,6 +28,7 @@ from .predictor import (
     TasnscModel,
     load_model,
     predict,
+    predict_many,
     save_model,
     train,
 )

@@ -1,18 +1,22 @@
 """Exact Gaussian-process regression for 2-D velocity flow fields.
 
-Each motion pattern is a pair of independent GPs mapping position to the x
-and y velocity components. The kernel is an axis-separable squared
-exponential; fits cache a Cholesky factorization of the regularized Gram
-matrix, so posterior queries are cheap and the model is immutable. The two
-GPs of a pattern share their inputs, and with them one factorization
-(:meth:`GPModel.with_targets`).
+A GP maps position to one velocity component, or to several at once: the
+targets are a vector (n,) or a matrix (n, d) whose columns share the inputs,
+the kernel and hence the posterior variance. The kernel is an axis-separable
+squared exponential; fits keep the lower Cholesky factor ``L`` of the
+regularized Gram matrix, so posterior queries are cheap and the model is
+immutable. A query at ``q`` computes ``k*`` once; the mean is ``k*ᵀα`` and
+the variance ``s² − |L⁻¹k*|²`` (Rasmussen & Williams, *GPML* Alg. 2.1).
+
+Each motion pattern is the flow field (vx, vy): a two-column GP on the
+factor of its x-component GP (:meth:`GPModel.with_targets`).
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 __all__ = [
     "GPFitError",
@@ -52,13 +56,24 @@ class Kernel:
 
 def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix between position sets ``a`` (n, 2) and ``b`` (m, 2)."""
-    dx = (a[:, 0, None] - b[None, :, 0]) / kernel.length_x
-    dy = (a[:, 1, None] - b[None, :, 1]) / kernel.length_y
-    return kernel.signal_sd**2 * np.exp(-0.5 * (dx * dx + dy * dy))
+    # In place on two (n, m) buffers: the Gram matrices of a fit are the
+    # largest arrays the program holds.
+    k = a[:, 0, None] - b[None, :, 0]
+    k /= kernel.length_x
+    k *= k
+    dy = a[:, 1, None] - b[None, :, 1]
+    dy /= kernel.length_y
+    dy *= dy
+    k += dy
+    del dy
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= kernel.signal_sd**2
+    return k
 
 
 class GPModel:
-    """Exact GP posterior over a scalar velocity component.
+    """Exact GP posterior over one velocity component (n,) or several (n, d).
 
     Immutable after construction; ``posterior`` queries are read-only.
     """
@@ -73,7 +88,9 @@ class GPModel:
         gram = kernel_matrix(kernel, inputs, inputs)
         gram[np.diag_indices_from(gram)] += kernel.noise_sd**2
         try:
-            chol = cho_factor(gram, lower=True)
+            # The Gram matrix is symmetric, so its transpose is the same
+            # matrix in Fortran order, which LAPACK factors in place.
+            chol, _ = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
         except LinAlgError as exc:
             raise GPFitError(
                 "kernel matrix is not positive definite (duplicate inputs with "
@@ -82,17 +99,17 @@ class GPModel:
         self.inputs = inputs
         self.targets = targets
         self.kernel = kernel
-        self._chol = chol
-        self._alpha = cho_solve(chol, targets)
+        self._chol = chol  # L in the lower triangle; the upper one is not read
+        self._alpha = cho_solve((chol, True), targets, check_finite=False)
 
     def with_targets(self, targets) -> "GPModel":
-        """The GP on the same inputs and kernel fit to other targets.
+        """The GP on the same inputs and kernel fit to other targets, (n,) or (n, d).
 
         Shares this model's Cholesky factor; only the weights are solved.
         """
         twin = copy.copy(self)
         twin.targets = _checked_targets(targets, len(self.inputs))
-        twin._alpha = cho_solve(self._chol, twin.targets)
+        twin._alpha = cho_solve((self._chol, True), twin.targets, check_finite=False)
         return twin
 
     def __len__(self) -> int:
@@ -100,7 +117,9 @@ class GPModel:
 
 
 def _checked_targets(targets, n: int) -> np.ndarray:
-    targets = np.asarray(targets, dtype=float).ravel()
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    if targets.ndim > 2:
+        raise ValueError(f"GP targets must be (n,) or (n, d), got shape {targets.shape}")
     if len(targets) != n:
         raise ValueError("inputs and targets lengths differ")
     if not np.all(np.isfinite(targets)):
@@ -116,19 +135,26 @@ def fit(inputs, targets, kernel: Kernel) -> GPModel:
 def posterior(model: GPModel, query) -> tuple:
     """Posterior mean and variance at one query point (2,) or a batch (m, 2).
 
-    The variance is the latent function variance (no observation noise),
-    clamped at zero against the tiny negatives Cholesky round-off can leave.
+    The mean has the targets' trailing shape per point: a float for a
+    scalar GP at one point, (m,) or (m, d) for a batch. The variance is the
+    latent function variance (no observation noise), shared by all target
+    columns, clamped at zero against the tiny negatives Cholesky round-off
+    can leave. Raises :class:`ValueError` on a non-finite query.
     """
     q = np.asarray(query, dtype=float)
     single = q.ndim == 1
     q = q.reshape(-1, 2)
-    k_star = kernel_matrix(model.kernel, model.inputs, q)
-    mean = k_star.T @ model._alpha
-    solved = cho_solve(model._chol, k_star)
-    var = model.kernel.signal_sd**2 - np.sum(k_star * solved, axis=0)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("GP posterior query contains non-finite values")
+    # k(q, x) is k(x, q) transposed, so this is k* (n, m) in Fortran order,
+    # which the triangular solve overwrites in place.
+    k_star_t = kernel_matrix(model.kernel, q, model.inputs)
+    mean = k_star_t @ model._alpha
+    v = solve_triangular(model._chol, k_star_t.T, lower=True, overwrite_b=True, check_finite=False)
+    var = model.kernel.signal_sd**2 - np.einsum("ij,ij->j", v, v)
     var = np.maximum(var, 0.0)
     if single:
-        return float(mean[0]), float(var[0])
+        return (float(mean[0]) if mean.ndim == 1 else mean[0]), float(var[0])
     return mean, var
 
 
@@ -136,39 +162,49 @@ def posterior(model: GPModel, query) -> tuple:
 class MotionPattern:
     """One atom-pair transition modeled as a 2-D GP flow field.
 
-    ``prior_weight`` is the pattern's transition count normalized over all
-    patterns, in (0, 1].
+    ``gp_x`` and ``gp_y`` are the vx and vy GPs; they must share inputs and
+    kernel. ``flow`` is the two-column GP (vx, vy) on ``gp_x``'s Cholesky
+    factor, which scoring and rollouts query. ``prior_weight`` is the
+    pattern's transition count normalized over all patterns, in (0, 1].
     """
 
     atoms: tuple
     gp_x: GPModel
     gp_y: GPModel
     prior_weight: float
+    flow: GPModel = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.prior_weight <= 1.0:
             raise ValueError(f"prior weight {self.prior_weight} outside (0, 1]")
+        gx, gy = self.gp_x, self.gp_y
+        if gy.kernel != gx.kernel or not np.array_equal(gy.inputs, gx.inputs):
+            raise ValueError("a pattern's vx and vy GPs must share inputs and kernel")
+        object.__setattr__(self, "flow", gx.with_targets(np.column_stack((gx.targets, gy.targets))))
 
 
-def _gaussian_loglik(value: np.ndarray, mean: np.ndarray, var: np.ndarray) -> float:
-    return float(np.sum(-0.5 * (_LOG_2PI + np.log(var)) - (value - mean) ** 2 / (2.0 * var)))
-
-
-def pattern_log_likelihood(pattern: MotionPattern, observed) -> float:
+def pattern_log_likelihood(pattern: MotionPattern, observed, counts=None):
     """Log-likelihood of observed (x, y, vx, vy) samples under the pattern.
 
-    The velocity components are scored independently under the two GP
-    posteriors at each position, using the predictive variance for a noisy
+    The velocity components are scored independently under the flow's
+    posterior at each position, using the predictive variance for a noisy
     observation (posterior variance plus noise variance); the log prior
     weight of the pattern is added.
+
+    With ``counts``, ``observed`` stacks several observations of those
+    sample counts, in order; all are scored with one posterior query and
+    the result is an array of their log-likelihoods.
     """
     samples = np.asarray(observed, dtype=float).reshape(-1, 4)
-    total = float(np.log(pattern.prior_weight))
-    if len(samples) == 0:
-        return total
-    pos = samples[:, :2]
-    mean_x, var_x = posterior(pattern.gp_x, pos)
-    mean_y, var_y = posterior(pattern.gp_y, pos)
-    total += _gaussian_loglik(samples[:, 2], mean_x, var_x + pattern.gp_x.kernel.noise_sd**2)
-    total += _gaussian_loglik(samples[:, 3], mean_y, var_y + pattern.gp_y.kernel.noise_sd**2)
-    return total
+    sizes = [len(samples)] if counts is None else counts
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    if len(owner) != len(samples):
+        raise ValueError(f"counts sum to {len(owner)}, got {len(samples)} samples")
+    total = np.full(len(sizes), np.log(pattern.prior_weight))
+    if len(samples):
+        mean, var = posterior(pattern.flow, samples[:, :2])
+        var += pattern.flow.kernel.noise_sd**2
+        resid = samples[:, 2:] - mean
+        per_sample = -(_LOG_2PI + np.log(var)) - np.einsum("ij,ij->i", resid, resid) / (2.0 * var)
+        total += np.bincount(owner, weights=per_sample, minlength=len(sizes))
+    return float(total[0]) if counts is None else total

@@ -48,6 +48,7 @@ __all__ = [
     "PredictionSet",
     "train",
     "predict",
+    "predict_many",
     "save_model",
     "load_model",
 ]
@@ -260,7 +261,7 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
         gp_x = GPModel(samples[:, :2], samples[:, 2], config.kernel)
         gp_y = gp_x.with_targets(samples[:, 3])
         patterns.append(
-            MotionPattern(atoms=(i, j), gp_x=gp_x, gp_y=gp_y, prior_weight=transitions[i, j] / total)
+            MotionPattern(atoms=(i, j), gp_x=gp_x, gp_y=gp_y, prior_weight=float(transitions[i, j] / total))
         )
     if not patterns:
         raise PipelineError("no motion patterns could be fit")
@@ -283,74 +284,108 @@ def _guard_box(grid: GridSpec) -> tuple:
     return cx - hx, cx + hx, cy - hy, cy + hy
 
 
-def _rollout(pattern: MotionPattern, start: np.ndarray, dt: float, n_steps: int, box: tuple):
-    """Euler-integrate the posterior mean flow; hold position after exiting the box."""
+def _rollout(patterns: list, which: np.ndarray, start: np.ndarray, dt: float, n_steps: int, box: tuple):
+    """Euler-integrate candidates along their patterns' posterior mean flows, together.
+
+    Candidate ``c`` starts at ``start[c]`` on ``patterns[which[c]]``. Each
+    step makes one posterior query per pattern over its live candidates; a
+    candidate that leaves the box holds its position and step variance
+    from then on. Returns points (C, n_steps, 2) and step variances
+    (C, n_steps).
+    """
     p = np.array(start, dtype=float)
-    points = np.empty((n_steps, 2))
-    variances = np.empty(n_steps)
-    step_var = 0.0
-    alive = True
+    points = np.empty((len(p), n_steps, 2))
+    variances = np.empty((len(p), n_steps))
+    step_var = np.zeros(len(p))
+    alive = np.ones(len(p), dtype=bool)
     for k in range(n_steps):
-        if alive:
-            mean_x, var_x = posterior(pattern.gp_x, p)
-            mean_y, var_y = posterior(pattern.gp_y, p)
-            p = p + dt * np.array([mean_x, mean_y])
-            step_var = var_x + var_y
-            if not (box[0] <= p[0] <= box[1] and box[2] <= p[1] <= box[3]):
-                alive = False
-        points[k] = p
-        variances[k] = step_var
+        for u in np.unique(which[alive]):
+            sel = np.flatnonzero(alive & (which == u))
+            mean, var = posterior(patterns[u].flow, p[sel])
+            p[sel] += dt * mean
+            # var_x + var_y: both velocity components share one variance.
+            step_var[sel] = 2.0 * var
+        alive &= (box[0] <= p[:, 0]) & (p[:, 0] <= box[1]) & (box[2] <= p[:, 1]) & (p[:, 1] <= box[3])
+        points[:, k] = p
+        variances[:, k] = step_var
     return points, variances
 
 
 def predict(model: TasnscModel, test_frame: CurbsideFrame, observed: Trajectory) -> PredictionSet:
-    """Predict candidate futures for an observation in a test intersection.
+    """Predict candidate futures for one observation; see :func:`predict_many`."""
+    return predict_many(model, test_frame, [observed])[0]
 
-    Returns the top-M motion patterns by observation likelihood, each
-    rolled out ``t_pred / dt`` Euler steps along its posterior mean flow and
-    mapped back into the test intersection's local frame; candidate
-    likelihoods are the softmax of the pattern log-likelihoods.
+
+def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) -> list:
+    """Predict candidate futures for each observation in a test intersection.
+
+    Returns one :class:`PredictionSet` per observation, in order: the top-M
+    motion patterns by observation likelihood, each rolled out
+    ``t_pred / dt`` Euler steps along its posterior mean flow and mapped
+    back into the test intersection's local frame; candidate likelihoods
+    are the softmax of the pattern log-likelihoods. Each observation's set
+    is the one it would get alone; the batch shares the GP work, with one
+    scoring query per pattern and one rollout query per pattern and step.
     """
     if not model.patterns:
         raise PipelineError("model has no motion patterns")
     cfg = model.config
-    _check_dt(observed.dt, cfg, f"observation {observed.id!r}")
-    if observed.duration + 1e-9 < 2 * cfg.dt:
-        raise TrajectoryError(
-            f"observation {observed.id!r} spans {observed.duration}s, needs at least {2 * cfg.dt}s"
-        )
+    for observed in observations:
+        _check_dt(observed.dt, cfg, f"observation {observed.id!r}")
+        if observed.duration + 1e-9 < 2 * cfg.dt:
+            raise TrajectoryError(
+                f"observation {observed.id!r} spans {observed.duration}s, needs at least {2 * cfg.dt}s"
+            )
+    if not observations:
+        return []
     eff = _effective_frame(test_frame, cfg.mode)
-    obs_curb = transform_trajectory(eff, observed)
-    samples = velocities(obs_curb)
+    obs_curb = [transform_trajectory(eff, observed) for observed in observations]
+    samples = [velocities(o) for o in obs_curb]
+    stacked = np.vstack(samples)
+    counts = [len(s) for s in samples]
 
-    loglik = np.array([pattern_log_likelihood(p, samples) for p in model.patterns])
-    order = np.argsort(-loglik, kind="stable")[: min(cfg.top_m, len(loglik))]
-    scores = loglik[order]
-    weights = np.exp(scores - scores.max())
-    weights /= weights.sum()
+    # (patterns, observations): one scoring query per pattern for the batch.
+    loglik = np.array([pattern_log_likelihood(p, stacked, counts) for p in model.patterns])
+    order = np.argsort(-loglik, axis=0, kind="stable")[: min(cfg.top_m, len(loglik))]
+    scores = np.take_along_axis(loglik, order, axis=0)
+    weights = np.exp(scores - scores.max(axis=0))
+    weights /= weights.sum(axis=0)
 
     n_steps = int(round(cfg.t_pred / cfg.dt))
-    box = _guard_box(model.grid)
-    start = obs_curb.xy[-1]
-    times = obs_curb.times[-1] + cfg.dt * np.arange(1, n_steps + 1)
+    # Candidate c is rank c % M of observation c // M.
+    m = len(order)
+    which = order.T.ravel()
+    start = np.repeat([o.xy[-1] for o in obs_curb], m, axis=0)
+    points, variances = _rollout(model.patterns, which, start, cfg.dt, n_steps, _guard_box(model.grid))
 
-    candidates = []
-    for idx, weight in zip(order, weights):
-        pattern = model.patterns[idx]
-        points, variances = _rollout(pattern, start, cfg.dt, n_steps, box)
-        local = from_curbside(eff, points)
-        traj = Trajectory(
-            id=f"{observed.id}#pattern-{pattern.atoms[0]}-{pattern.atoms[1]}",
-            dt=cfg.dt,
-            times=times,
-            xy=local,
-        )
-        candidates.append(
-            PredictedCandidate(
-                trajectory=traj, likelihood=float(weight), atoms=pattern.atoms, step_variance=variances
+    psets = []
+    for j, (observed, curb) in enumerate(zip(observations, obs_curb)):
+        times = curb.times[-1] + cfg.dt * np.arange(1, n_steps + 1)
+        candidates = []
+        for r in range(m):
+            c = j * m + r
+            pattern = model.patterns[which[c]]
+            traj = Trajectory(
+                id=f"{observed.id}#pattern-{pattern.atoms[0]}-{pattern.atoms[1]}",
+                dt=cfg.dt,
+                times=times,
+                xy=from_curbside(eff, points[c]),
             )
-        )
-    return PredictionSet(candidates=candidates)
+            candidates.append(
+                PredictedCandidate(
+                    trajectory=traj,
+                    likelihood=float(weights[r, j]),
+                    atoms=pattern.atoms,
+                    step_variance=variances[c],
+                )
+            )
+        psets.append(PredictionSet(candidates=candidates))
+    return psets
+
+
+_MODEL_KEYS = (
+    "version", "config", "frame", "grid", "dictionary", "transitions", "final_objective", "patterns"
+)
 
 
 def _model_to_dict(model: TasnscModel) -> dict:
@@ -391,8 +426,8 @@ def save_model(model: TasnscModel, path) -> None:
 def load_model(path) -> TasnscModel:
     """Read a model file; GP factorizations are rebuilt from the stored data."""
     with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("version")
+        doc = _check_keys(json.load(fh), _MODEL_KEYS, "model file")
+    version = doc["version"]
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model version {version!r} in {path}")
     config = PipelineConfig.from_dict(doc["config"])
@@ -419,5 +454,5 @@ def load_model(path) -> TasnscModel:
         transitions=transitions,
         patterns=patterns,
         config=config,
-        final_objective=float(doc.get("final_objective", float("nan"))),
+        final_objective=float(doc["final_objective"]),
     )

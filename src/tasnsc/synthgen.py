@@ -66,6 +66,9 @@ class SceneSpec:
         total = sum(self.intent_mix.values())
         if not (abs(total - 1.0) <= 1e-9 and all(p >= 0 for p in self.intent_mix.values())):
             raise ValueError(f"intent proportions must be nonnegative and sum to 1, got {total}")
+        seed = self.seed
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"scene seed must be a nonnegative integer, got {seed!r}")
         self.frame()  # rejects a non-finite corner or heading and parallel curbs
 
     def frame(self) -> CurbsideFrame:
@@ -126,7 +129,7 @@ def _walk(rng: np.random.Generator, scene: SceneSpec, s_grid: np.ndarray, pts: n
     stations = [0.0]
     s = 0.0
     while True:
-        speed = float(np.clip(rng.normal(scene.speed_mean, scene.speed_sd), lo, hi))
+        speed = min(max(float(rng.normal(scene.speed_mean, scene.speed_sd)), lo), hi)
         s += speed * dt
         if s > total:
             break
@@ -155,12 +158,14 @@ def generate(scene: SceneSpec, n: int, dt: float = 0.5, tag: str = "train") -> D
     seeds = np.random.SeedSequence(scene.seed).spawn(n + 1)
     intents = np.random.default_rng(seeds[0]).choice(names, size=n, p=probs)
 
+    paths = {
+        name: _dense_path(from_curbside(frame, _intent_waypoints(scene, name)), scene.blend_len)
+        for name in names
+    }
     trajectories = []
     for i, intent in enumerate(intents):
         rng = np.random.default_rng(seeds[i + 1])
-        waypoints_local = from_curbside(frame, _intent_waypoints(scene, intent))
-        s_grid, dense = _dense_path(waypoints_local, scene.blend_len)
-        xy = _walk(rng, scene, s_grid, dense, dt)
+        xy = _walk(rng, scene, *paths[intent], dt)
         if scene.noise_sd > 0:
             xy = xy + rng.normal(0.0, scene.noise_sd, xy.shape)
         times = dt * np.arange(len(xy))

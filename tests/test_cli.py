@@ -70,6 +70,16 @@ class TestGenerate:
         rc = main(["generate", "--scene", str(scene), "--n", "5", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("seed", [1.5, -3])
+    def test_bad_scene_seed_exits_2(self, workdir, tmp_path, capsys, seed):
+        cfg = json.loads(workdir["scene_a"].read_text())
+        cfg["seed"] = seed
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(cfg))
+        rc = main(["generate", "--scene", str(scene), "--n", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "scene seed must be a nonnegative integer" in capsys.readouterr().err
+
     def test_bad_scene_json_exits_2(self, tmp_path):
         bad = tmp_path / "scene.json"
         bad.write_text("{not json")
@@ -268,6 +278,24 @@ class TestEvaluate:
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())
         edit(doc)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            ["evaluate", "--model", str(bad), "--data", str(workdir["test_a"]),
+             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "model file must be a JSON object, got list"),
+            ({"version": 1}, "missing keys ['config', 'frame', 'grid', 'dictionary'"),
+        ],
+        ids=["list", "version-only"],
+    )
+    def test_bad_top_level_exits_2(self, workdir, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(doc))
         rc = main(

@@ -195,3 +195,106 @@ class TestPatternLogLikelihood:
         pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
         with pytest.raises(ValueError):
             MotionPattern(atoms=(0, 0), gp_x=pat.gp_x, gp_y=pat.gp_y, prior_weight=0.0)
+
+
+def old_kernel_matrix(kernel, a, b):
+    """The out-of-place formula, as reference for the in-place kernel."""
+    dx = (a[:, 0, None] - b[None, :, 0]) / kernel.length_x
+    dy = (a[:, 1, None] - b[None, :, 1]) / kernel.length_y
+    return kernel.signal_sd**2 * np.exp(-0.5 * (dx * dx + dy * dy))
+
+
+class TestVectorGP:
+    def test_kernel_matrix_bitwise_reference_and_symmetric(self):
+        rng = np.random.default_rng(5)
+        k = Kernel(1.3, 0.7, 1.9, 0.2)
+        a, b = rng.uniform(-4, 4, (17, 2)), rng.uniform(-4, 4, (9, 2))
+        assert np.array_equal(kernel_matrix(k, a, b), old_kernel_matrix(k, a, b))
+        assert np.array_equal(kernel_matrix(k, b, a), kernel_matrix(k, a, b).T)
+
+    def test_two_columns_equal_two_scalar_fits(self):
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(-3.0, 3.0, (40, 2))
+        v = rng.normal(size=(40, 2))
+        k = Kernel(1.5, 2.5, 0.8, 0.3)
+        flow = fit(pts, v, k)
+        query = rng.uniform(-5.0, 5.0, (60, 2))
+        mean, var = posterior(flow, query)
+        assert mean.shape == (60, 2) and var.shape == (60,)
+        for col in range(2):
+            mean_c, var_c = posterior(fit(pts, v[:, col], k), query)
+            assert np.max(np.abs(mean[:, col] - mean_c)) < 1e-12
+            assert np.max(np.abs(var - var_c)) < 1e-12
+        one_mean, one_var = posterior(flow, query[0])
+        assert one_mean.shape == (2,) and isinstance(one_var, float)
+        assert np.max(np.abs(one_mean - mean[0])) < 1e-12
+
+    def test_variance_matches_dense_solve(self):
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-2, 2, (30, 2))
+        k = Kernel(noise_sd=0.1)
+        q = rng.uniform(-3, 3, (50, 2))
+        gram = kernel_matrix(k, pts, pts) + k.noise_sd**2 * np.eye(len(pts))
+        k_star = kernel_matrix(k, pts, q)
+        want = k.signal_sd**2 - np.sum(k_star * np.linalg.solve(gram, k_star), axis=0)
+        _, var = posterior(fit(pts, rng.normal(size=30), k), q)
+        assert np.max(np.abs(var - np.maximum(want, 0.0))) < 1e-12
+
+    def test_target_shape_checked(self):
+        with pytest.raises(ValueError, match=r"\(n,\) or \(n, d\)"):
+            fit([[0.0, 0.0], [1.0, 0.0]], np.zeros((2, 2, 1)), Kernel())
+        with pytest.raises(ValueError, match="lengths differ"):
+            fit([[0.0, 0.0], [1.0, 0.0]], np.zeros((3, 2)), Kernel())
+        with pytest.raises(ValueError, match="non-finite"):
+            fit([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [np.inf, 0.0]], Kernel())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        model = fit([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0], Kernel())
+        with pytest.raises(ValueError, match="query contains non-finite"):
+            posterior(model, (bad, 0.0))
+        with pytest.raises(ValueError, match="query contains non-finite"):
+            posterior(model, [[0.0, 0.0], [0.0, bad]])
+
+
+class TestFlow:
+    def test_flow_shares_factor_and_matches_components(self):
+        pat = make_pattern(lambda p: (np.sin(p[:, 0]), np.cos(p[:, 1])))
+        assert pat.flow._chol is pat.gp_x._chol
+        q = np.random.default_rng(8).uniform(-3, 3, (20, 2))
+        mean, var = posterior(pat.flow, q)
+        for col, gp in enumerate((pat.gp_x, pat.gp_y)):
+            mean_c, var_c = posterior(gp, q)
+            assert np.max(np.abs(mean[:, col] - mean_c)) < 1e-12
+            assert np.max(np.abs(var - var_c)) < 1e-12
+
+    def test_components_must_share_inputs_and_kernel(self):
+        pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
+        moved = fit(pat.gp_x.inputs + 0.5, pat.gp_y.targets, pat.gp_y.kernel)
+        other_kernel = fit(pat.gp_x.inputs, pat.gp_y.targets, Kernel(noise_sd=0.2))
+        for gp_y in (moved, other_kernel):
+            with pytest.raises(ValueError, match="share inputs and kernel"):
+                MotionPattern(atoms=(0, 1), gp_x=pat.gp_x, gp_y=gp_y, prior_weight=1.0)
+
+    def test_batched_scores_equal_one_at_a_time(self):
+        pat = make_pattern(lambda p: (np.sin(p[:, 1]), 0.5 * p[:, 0]), prior=0.3)
+        rng = np.random.default_rng(9)
+        counts = [3, 0, 5, 1]
+        obs = [rng.uniform(-2, 2, (c, 4)) for c in counts]
+        batched = pattern_log_likelihood(pat, np.vstack(obs), counts)
+        single = np.array([pattern_log_likelihood(pat, o) for o in obs])
+        assert np.all(np.abs(batched - single) <= 1e-12 * np.abs(single))
+        assert batched[1] == pytest.approx(np.log(0.3))
+        with pytest.raises(ValueError, match="counts sum to 10, got 9 samples"):
+            pattern_log_likelihood(pat, np.vstack(obs), [3, 5, 1, 1])
+
+    def test_scores_equal_two_component_sum(self):
+        # The old scoring: each component under its own GP, summed.
+        pat = make_pattern(lambda p: (np.sin(p[:, 1]), 0.5 * p[:, 0]), prior=0.4)
+        obs = np.random.default_rng(10).uniform(-2, 2, (7, 4))
+        total = np.log(0.4)
+        for col, gp in ((2, pat.gp_x), (3, pat.gp_y)):
+            mean, var = posterior(gp, obs[:, :2])
+            var = var + gp.kernel.noise_sd**2
+            total += np.sum(-0.5 * (np.log(2 * np.pi) + np.log(var)) - (obs[:, col] - mean) ** 2 / (2 * var))
+        assert pattern_log_likelihood(pat, obs) == pytest.approx(total, rel=1e-12)

@@ -1,5 +1,11 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from tasnsc import metrics
 from tasnsc.metrics import (
@@ -72,6 +78,15 @@ class TestMHD:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mhd(np.empty((0, 2)), [[0, 0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=arrays(float, st.tuples(st.integers(1, 12), st.just(2)), elements=st.floats(-50, 50)),
+        b=arrays(float, st.tuples(st.integers(1, 12), st.just(2)), elements=st.floats(-50, 50)),
+    )
+    def test_bitwise_equal_to_cdist(self, a, b):
+        d = cdist(a, b)
+        assert mhd(a, b) == float(max(d.min(axis=1).mean(), d.min(axis=0).mean()))
 
 
 class TestAngularDeviation:
@@ -189,6 +204,26 @@ class TestEvaluate:
         collected = []
         evaluate(model_a, small_a["test"], small_a["frame"], collect_predictions=collected)
         assert len(calls) == sum(len(pset.candidates) for _, _, pset in collected)
+
+    def test_predicts_the_test_set_in_one_batch(self, model_a, small_a, monkeypatch):
+        # One predict_many call per test set; each row's time is its share.
+        batches = []
+        real = metrics.predict_many
+
+        def counted(model, frame, observations):
+            tic = time.perf_counter()
+            psets = real(model, frame, observations)
+            batches.append((len(observations), time.perf_counter() - tic))
+            return psets
+
+        monkeypatch.setattr(metrics, "predict_many", counted)
+        tic = time.perf_counter()
+        report = evaluate(model_a, small_a["test"], small_a["frame"])
+        wall = time.perf_counter() - tic
+        n = len(small_a["test"])
+        assert [size for size, _ in batches] == [n]
+        assert {row["predict_time"] for row in report.rows} == {report.mean_predict_time}
+        assert batches[0][1] <= n * report.mean_predict_time <= wall
 
     def test_accuracy_matches_classification_accuracy(self, model_a, small_a):
         for threshold in (0.0, THRESHOLD_DEG, 180.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasnsc.geometry import frame_from_curbs, identity_frame, to_curbside, transform_trajectory
-from tasnsc.gp import Kernel
+from tasnsc.gp import Kernel, posterior
 from tasnsc.predictor import (
     PipelineConfig,
     PipelineError,
     PredictionSet,
     load_model,
     predict,
+    predict_many,
     save_model,
     train,
 )
@@ -312,6 +314,95 @@ class TestModelIO:
             load_model(path)
 
 
+def observations(test):
+    return [split_horizon(t, 2.5, 5.0)[0] for t in test]
+
+
+def with_small_guard_box(model, factor=0.25):
+    """``model`` with its grid cells, and so its guard box, shrunk about the grid center.
+
+    The cell counts, and so the feature dimension, stay the same; only the
+    rollouts read the grid at prediction time, so they leave the box sooner.
+    """
+    g = model.grid
+    cell = g.cell * factor
+    cx, cy = 0.5 * (g.x_min + g.x_max), 0.5 * (g.y_min + g.y_max)
+    hx, hy = 0.5 * g.nx * cell, 0.5 * g.ny * cell
+    return dataclasses.replace(model, grid=GridSpec(cx - hx, cx + hx, cy - hy, cy + hy, cell))
+
+
+def held_from(xy) -> int | None:
+    """First step whose point repeats the one before it, if any."""
+    same = np.flatnonzero(np.all(xy[1:] == xy[:-1], axis=1))
+    return int(same[0]) + 1 if len(same) else None
+
+
+def assert_close_sets(got, want, tol=1e-12):
+    assert len(got.candidates) == len(want.candidates)
+    for a, b in zip(got.candidates, want.candidates):
+        assert a.atoms == b.atoms and a.trajectory.id == b.trajectory.id
+        assert np.array_equal(a.trajectory.times, b.trajectory.times)
+        assert np.max(np.abs(a.trajectory.xy - b.trajectory.xy)) <= tol
+        assert np.max(np.abs(a.step_variance - b.step_variance)) <= tol
+        assert abs(a.likelihood - b.likelihood) <= tol
+
+
+class TestPredictMany:
+    def test_empty_batch(self, model_a, small_a):
+        assert predict_many(model_a, small_a["frame"], []) == []
+
+    def test_bad_observation_rejects_batch(self, model_a, small_a):
+        short = Trajectory(id="s", dt=0.5, times=[0.0, 0.5], xy=[[0, 0], [0.5, 0]])
+        with pytest.raises(TrajectoryError, match="'s' spans"):
+            predict_many(model_a, small_a["frame"], observations(small_a["test"])[:3] + [short])
+
+    def test_rollout_leaving_guard_box_holds(self, model_a, small_a):
+        obs = observations(small_a["test"])
+        full_box = [c for p in predict_many(model_a, small_a["frame"], obs) for c in p.candidates]
+        assert all(held_from(c.trajectory.xy) is None for c in full_box)
+        held = 0
+        for pset in predict_many(with_small_guard_box(model_a), small_a["frame"], obs):
+            for cand in pset.candidates:
+                k = held_from(cand.trajectory.xy)
+                if k is None:
+                    continue
+                held += 1
+                assert np.all(cand.trajectory.xy[k:] == cand.trajectory.xy[k - 1])
+                assert np.all(cand.step_variance[k:] == cand.step_variance[k - 1])
+        assert 0 < held < len(full_box)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scene=st.sampled_from(["a", "b"]),
+        small_box=st.booleans(),
+        order=st.permutations(range(12)),
+        size=st.integers(1, 12),
+    )
+    def test_equals_one_at_a_time(self, model_a, small_a, small_b, scene, small_box, order, size):
+        # Model A on its own scene and across to scene B, with and without
+        # rollouts that leave the guard box, over subsets in any order.
+        data = small_a if scene == "a" else small_b
+        model = with_small_guard_box(model_a) if small_box else model_a
+        obs = [observations(data["test"])[i] for i in order[:size]]
+        for got, one in zip(predict_many(model, data["frame"], obs), obs, strict=True):
+            assert_close_sets(got, predict(model, data["frame"], one))
+
+    def test_step_variance_is_sum_of_component_variances(self, model_a, small_b):
+        # Each step's variance is var_x + var_y of the two scalar GPs at the
+        # point the step starts from, which is twice the flow's variance.
+        frame = small_b["frame"]
+        by_atoms = {p.atoms: p for p in model_a.patterns}
+        for obs in observations(small_b["test"])[:4]:
+            start = transform_trajectory(frame, obs).xy[-1]
+            for cand in predict(model_a, frame, obs).candidates:
+                pattern = by_atoms[cand.atoms]
+                before = np.vstack(([start], to_curbside(frame, cand.trajectory.xy)[:-1]))
+                var_x = posterior(pattern.gp_x, before)[1]
+                var_y = posterior(pattern.gp_y, before)[1]
+                assert np.max(np.abs(cand.step_variance - (var_x + var_y))) < 1e-12
+                assert np.max(np.abs(cand.step_variance - 2.0 * posterior(pattern.flow, before)[1])) < 1e-12
+
+
 def edited_model_file(model, tmp_path, edit):
     """Save ``model``, apply ``edit`` to the JSON document, write it back."""
     import json
@@ -384,6 +475,27 @@ class TestModelChecks:
             doc["frame"]["origin"] = [float("nan"), 0.0]
 
         with pytest.raises(ValueError, match="frame origin must be finite"):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "model file must be a JSON object, got list"),
+            ({"version": 1}, "model file: unknown keys [], missing keys ['config', 'frame', 'grid'"),
+        ],
+        ids=["list", "version-only"],
+    )
+    def test_top_level_checked(self, tmp_path, doc, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
+    def test_unknown_top_level_key(self, model_a, tmp_path):
+        def edit(doc):
+            doc["extra"] = 1
+
+        with pytest.raises(ValueError, match=re.escape("model file: unknown keys ['extra']")):
             load_model(edited_model_file(model_a, tmp_path, edit))
 
     def test_non_integer_config_field(self, model_a, tmp_path):

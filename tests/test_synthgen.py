@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from tasnsc.geometry import to_curbside
+from tasnsc.geometry import from_curbside, to_curbside
 from tasnsc.synthgen import (
+    _MIN_SPEED,
     SceneSpec,
+    _dense_path,
+    _intent_waypoints,
     generate,
     load_scene,
     scene_a,
@@ -44,6 +47,14 @@ class TestSceneSpec:
     def test_nan_intent_proportion_rejected(self):
         with pytest.raises(ValueError, match="intent proportions"):
             SceneSpec(intent_mix={"straight": math.nan, "left": 0.5, "right": 0.5})
+
+    @pytest.mark.parametrize("bad", [1.5, -1, True, "3", None])
+    def test_seed_must_be_nonnegative_integer(self, bad):
+        with pytest.raises(ValueError, match="scene seed must be a nonnegative integer"):
+            SceneSpec(seed=bad)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SceneSpec(seed=np.int64(3)).seed == 3
 
     def test_frame_matches_angles(self):
         scene = SceneSpec(heading=0.3, alpha=math.pi / 3)
@@ -141,6 +152,42 @@ class TestGenerate:
     def test_bad_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             generate(scene_a(), 3, dt=dt)
+
+
+def reference_generate(scene, n, dt=0.5):
+    """Per-trajectory path tables and a ``np.clip`` speed draw: the generator's old loop."""
+    frame = scene.frame()
+    names = [name for name in ("straight", "left", "right") if scene.intent_mix.get(name, 0.0) > 0.0]
+    probs = np.array([scene.intent_mix[name] for name in names])
+    seeds = np.random.SeedSequence(scene.seed).spawn(n + 1)
+    intents = np.random.default_rng(seeds[0]).choice(names, size=n, p=probs / probs.sum())
+    lo = max(_MIN_SPEED, scene.speed_mean - 3.0 * scene.speed_sd)
+    hi = scene.speed_mean + 3.0 * scene.speed_sd
+    out = []
+    for i, intent in enumerate(intents):
+        rng = np.random.default_rng(seeds[i + 1])
+        s_grid, pts = _dense_path(from_curbside(frame, _intent_waypoints(scene, intent)), scene.blend_len)
+        stations, s = [0.0], 0.0
+        while True:
+            s += float(np.clip(rng.normal(scene.speed_mean, scene.speed_sd), lo, hi)) * dt
+            if s > s_grid[-1]:
+                break
+            stations.append(s)
+        xy = np.column_stack((np.interp(stations, s_grid, pts[:, 0]), np.interp(stations, s_grid, pts[:, 1])))
+        if scene.noise_sd > 0:
+            xy = xy + rng.normal(0.0, scene.noise_sd, xy.shape)
+        out.append(xy)
+    return out
+
+
+class TestGenerateReference:
+    @pytest.mark.parametrize("scene", [scene_a(), scene_b(), SceneSpec(speed_sd=0.6, noise_sd=0.0, seed=4)])
+    def test_bitwise_equal_to_reference(self, scene):
+        got = generate(scene, 25, dt=0.5)
+        want = reference_generate(scene, 25, dt=0.5)
+        assert len(got) == len(want)
+        for traj, xy in zip(got, want):
+            assert np.array_equal(traj.xy, xy)
 
 
 class TestSceneConfig:
