@@ -21,24 +21,12 @@ def main():
     pts = rng.uniform(-4, 4, (120, 2))
     kernel = Kernel(length_x=2.0, length_y=2.0, signal_sd=1.0, noise_sd=0.15)
 
-    east = MotionPattern(
-        atoms=(0, 1),
-        gp_x=fit(pts, np.full(len(pts), 1.3), kernel),
-        gp_y=fit(pts, np.zeros(len(pts)), kernel),
-        prior_weight=0.5,
-    )
-    vx, vy = turning_flow(pts)
-    turning = MotionPattern(
-        atoms=(0, 2),
-        gp_x=fit(pts, vx, kernel),
-        gp_y=fit(pts, vy, kernel),
-        prior_weight=0.5,
-    )
+    east = MotionPattern(atoms=(0, 1), flow=fit(pts, np.tile([1.3, 0.0], (len(pts), 1)), kernel), prior_weight=0.5)
+    turning = MotionPattern(atoms=(0, 2), flow=fit(pts, np.column_stack(turning_flow(pts)), kernel), prior_weight=0.5)
 
     print("posterior mean of the turning flow along y = 0:")
     for x in (-3.0, -1.5, 0.0, 1.5, 3.0):
-        mx, sx = posterior(turning.gp_x, (x, 0.0))
-        my, _ = posterior(turning.gp_y, (x, 0.0))
+        (mx, my), sx = posterior(turning.flow, (x, 0.0))
         heading = np.degrees(np.arctan2(my, mx))
         print(f"  x={x:+.1f}: v=({mx:+.2f}, {my:+.2f}) m/s, heading {heading:6.1f} deg, sd {np.sqrt(sx):.3f}")
 

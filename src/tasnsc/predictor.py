@@ -140,12 +140,16 @@ class TasnscModel:
             )
         if self.transitions.shape != (k, k):
             raise ValueError(f"transitions have shape {self.transitions.shape}, expected ({k}, {k})")
-        for pat in self.patterns:
-            i, j = pat.atoms
+        if not np.issubdtype(self.transitions.dtype, np.integer):
+            raise ValueError(f"transitions must be integer counts, got {self.transitions.dtype}")
+        pairs = [pat.atoms for pat in self.patterns]
+        for i, j in pairs:
             if not (0 <= i < k and 0 <= j < k):
-                raise ValueError(f"pattern {pat.atoms} names an atom outside [0, {k})")
+                raise ValueError(f"pattern {(i, j)} names an atom outside [0, {k})")
             if self.transitions[i, j] <= 0:
-                raise ValueError(f"pattern {pat.atoms} has no supporting transitions")
+                raise ValueError(f"pattern {(i, j)} has no supporting transitions")
+            if pairs.count((i, j)) > 1:
+                raise ValueError(f"pattern {(i, j)} appears more than once")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +262,8 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     patterns = []
     for (i, j) in sorted(blocks):
         samples = _subsample(np.vstack(blocks[(i, j)]), config.max_gp_points)
-        gp_x = GPModel(samples[:, :2], samples[:, 2], config.kernel)
-        gp_y = gp_x.with_targets(samples[:, 3])
-        patterns.append(
-            MotionPattern(atoms=(i, j), gp_x=gp_x, gp_y=gp_y, prior_weight=float(transitions[i, j] / total))
-        )
+        flow = GPModel(samples[:, :2], samples[:, 2:], config.kernel)
+        patterns.append(MotionPattern(atoms=(i, j), flow=flow, prior_weight=float(transitions[i, j] / total)))
     if not patterns:
         raise PipelineError("no motion patterns could be fit")
 
@@ -386,6 +387,8 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
 _MODEL_KEYS = (
     "version", "config", "frame", "grid", "dictionary", "transitions", "final_objective", "patterns"
 )
+_DICTIONARY_KEYS = ("k", "lambda", "seed", "atoms")
+_PATTERN_KEYS = ("atoms", "prior_weight", "kernel", "inputs", "vx", "vy")
 
 
 def _model_to_dict(model: TasnscModel) -> dict:
@@ -406,10 +409,10 @@ def _model_to_dict(model: TasnscModel) -> dict:
             {
                 "atoms": list(p.atoms),
                 "prior_weight": p.prior_weight,
-                "kernel": asdict(p.gp_x.kernel),
-                "inputs": p.gp_x.inputs.tolist(),
-                "vx": p.gp_x.targets.tolist(),
-                "vy": p.gp_y.targets.tolist(),
+                "kernel": asdict(p.flow.kernel),
+                "inputs": p.flow.inputs.tolist(),
+                "vx": p.flow.targets[:, 0].tolist(),
+                "vy": p.flow.targets[:, 1].tolist(),
             }
             for p in model.patterns
         ],
@@ -423,6 +426,26 @@ def save_model(model: TasnscModel, path) -> None:
         fh.write("\n")
 
 
+def _dictionary(rec, config: PipelineConfig) -> Dictionary:
+    rec = _check_keys(rec, _DICTIONARY_KEYS, "dictionary")
+    dictionary = Dictionary(atoms=np.asarray(rec["atoms"], dtype=float))
+    for key, want in (("k", dictionary.k), ("lambda", config.sparsity), ("seed", config.seed)):
+        if rec[key] != want or isinstance(rec[key], bool):
+            raise ValueError(f"dictionary {key} is {rec[key]!r}, expected {want!r}")
+    return dictionary
+
+
+def _pattern(rec) -> MotionPattern:
+    rec = _check_keys(rec, _PATTERN_KEYS, "pattern")
+    atoms = tuple(rec["atoms"]) if isinstance(rec["atoms"], list) else rec["atoms"]
+    vx, vy = np.asarray(rec["vx"], dtype=float), np.asarray(rec["vy"], dtype=float)
+    if vx.ndim != 1 or vx.shape != vy.shape:
+        raise ValueError(f"pattern {atoms} has vx of shape {vx.shape} and vy of shape {vy.shape}")
+    kernel = _record(Kernel, rec["kernel"], "pattern kernel")
+    flow = GPModel(np.asarray(rec["inputs"], dtype=float), np.column_stack((vx, vy)), kernel)
+    return MotionPattern(atoms=atoms, flow=flow, prior_weight=float(rec["prior_weight"]))
+
+
 def load_model(path) -> TasnscModel:
     """Read a model file; GP factorizations are rebuilt from the stored data."""
     with open(path) as fh:
@@ -433,20 +456,9 @@ def load_model(path) -> TasnscModel:
     config = PipelineConfig.from_dict(doc["config"])
     frame = frame_from_config(doc["frame"])
     grid = _record(GridSpec, doc["grid"], "grid")
-    dictionary = Dictionary(atoms=np.asarray(doc["dictionary"]["atoms"], dtype=float))
-    transitions = np.asarray(doc["transitions"], dtype=int)
-    patterns = []
-    for rec in doc["patterns"]:
-        kernel = _record(Kernel, rec["kernel"], "pattern kernel")
-        gp_x = GPModel(np.asarray(rec["inputs"], dtype=float), np.asarray(rec["vx"], dtype=float), kernel)
-        patterns.append(
-            MotionPattern(
-                atoms=tuple(rec["atoms"]),
-                gp_x=gp_x,
-                gp_y=gp_x.with_targets(np.asarray(rec["vy"], dtype=float)),
-                prior_weight=float(rec["prior_weight"]),
-            )
-        )
+    dictionary = _dictionary(doc["dictionary"], config)
+    transitions = np.asarray(doc["transitions"])
+    patterns = [_pattern(rec) for rec in doc["patterns"]]
     return TasnscModel(
         frame=frame,
         grid=grid,

@@ -272,8 +272,19 @@ class TestEvaluate:
             (lambda doc: doc["frame"].pop("curb2"), "missing keys ['curb2']"),
             (lambda doc: doc["config"].update(dt=float("nan")), "dt must be positive and finite"),
             (lambda doc: doc["config"].update(top_m=1.5), "top_m must be an integer"),
+            (lambda doc: doc["patterns"][0].update(atoms=[0.0, 1.0]), "pattern atoms must be a pair of integers"),
+            (lambda doc: doc["patterns"][0].update(atoms=[0]), "pattern atoms must be a pair of integers"),
+            (lambda doc: doc["patterns"][0].update(extra=1), "pattern: unknown keys ['extra']"),
+            (lambda doc: doc["patterns"][0]["vx"].pop(), "has vx of shape"),
+            (lambda doc: doc["dictionary"].update(k=99), "dictionary k is 99"),
+            (lambda doc: doc["dictionary"].update({"lambda": 5.0}), "dictionary lambda is 5.0"),
+            (lambda doc: doc["dictionary"].update(extra=1), "dictionary: unknown keys ['extra']"),
+            (lambda doc: doc["patterns"].append(doc["patterns"][0]), "appears more than once"),
+            (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
         ],
-        ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m"],
+        ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
+             "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-lambda",
+             "dictionary-extra-key", "duplicate-pattern", "float-transition"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())

@@ -156,13 +156,7 @@ class TestPosterior:
 def make_pattern(flow, prior=1.0, kernel=None, n=25):
     kernel = kernel or Kernel(noise_sd=0.05)
     pts = grid_points(-2.0, 2.0, int(np.sqrt(n)))
-    vx, vy = flow(pts)
-    return MotionPattern(
-        atoms=(0, 1),
-        gp_x=fit(pts, vx, kernel),
-        gp_y=fit(pts, vy, kernel),
-        prior_weight=prior,
-    )
+    return MotionPattern(atoms=(0, 1), flow=fit(pts, np.column_stack(flow(pts)), kernel), prior_weight=prior)
 
 
 class TestPatternLogLikelihood:
@@ -178,7 +172,7 @@ class TestPatternLogLikelihood:
 
     def test_prior_only_difference(self):
         heavy = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))), prior=0.8)
-        light = MotionPattern(atoms=heavy.atoms, gp_x=heavy.gp_x, gp_y=heavy.gp_y, prior_weight=0.2)
+        light = MotionPattern(atoms=heavy.atoms, flow=heavy.flow, prior_weight=0.2)
         obs = np.array([[0.0, 0.0, 1.0, 0.0], [0.5, 0.5, 1.0, 0.1]])
         diff = pattern_log_likelihood(heavy, obs) - pattern_log_likelihood(light, obs)
         assert diff == pytest.approx(np.log(4.0), rel=1e-12)
@@ -194,7 +188,19 @@ class TestPatternLogLikelihood:
     def test_prior_weight_validated(self):
         pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
         with pytest.raises(ValueError):
-            MotionPattern(atoms=(0, 0), gp_x=pat.gp_x, gp_y=pat.gp_y, prior_weight=0.0)
+            MotionPattern(atoms=(0, 0), flow=pat.flow, prior_weight=0.0)
+
+    @pytest.mark.parametrize(
+        "atoms", [[0, 1], (0,), (0, 1, 2), (0.0, 1.0), (True, 0), ("0", "1"), 5], ids=repr
+    )
+    def test_atoms_must_be_an_integer_pair(self, atoms):
+        pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
+        with pytest.raises(ValueError, match="pattern atoms must be a pair of integers"):
+            MotionPattern(atoms=atoms, flow=pat.flow, prior_weight=1.0)
+
+    def test_numpy_integer_atoms_accepted(self):
+        pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
+        assert MotionPattern(atoms=(np.int64(2), 3), flow=pat.flow, prior_weight=1.0).atoms == (2, 3)
 
 
 def old_kernel_matrix(kernel, a, b):
@@ -257,24 +263,38 @@ class TestVectorGP:
             posterior(model, [[0.0, 0.0], [0.0, bad]])
 
 
+def scalar_fits(flow):
+    """The two-component oracle: one scalar GP per column of the flow's targets."""
+    return [fit(flow.inputs, flow.targets[:, col], flow.kernel) for col in range(2)]
+
+
 class TestFlow:
-    def test_flow_shares_factor_and_matches_components(self):
+    def test_flow_matches_scalar_fits(self):
         pat = make_pattern(lambda p: (np.sin(p[:, 0]), np.cos(p[:, 1])))
-        assert pat.flow._chol is pat.gp_x._chol
         q = np.random.default_rng(8).uniform(-3, 3, (20, 2))
         mean, var = posterior(pat.flow, q)
-        for col, gp in enumerate((pat.gp_x, pat.gp_y)):
+        for col, gp in enumerate(scalar_fits(pat.flow)):
             mean_c, var_c = posterior(gp, q)
             assert np.max(np.abs(mean[:, col] - mean_c)) < 1e-12
             assert np.max(np.abs(var - var_c)) < 1e-12
 
-    def test_components_must_share_inputs_and_kernel(self):
-        pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
-        moved = fit(pat.gp_x.inputs + 0.5, pat.gp_y.targets, pat.gp_y.kernel)
-        other_kernel = fit(pat.gp_x.inputs, pat.gp_y.targets, Kernel(noise_sd=0.2))
-        for gp_y in (moved, other_kernel):
-            with pytest.raises(ValueError, match="share inputs and kernel"):
-                MotionPattern(atoms=(0, 1), gp_x=pat.gp_x, gp_y=gp_y, prior_weight=1.0)
+    @pytest.mark.parametrize("shape", [(25,), (25, 1), (25, 3)])
+    def test_flow_targets_must_have_two_columns(self, shape):
+        flow = fit(grid_points(-2.0, 2.0, 5), np.zeros(shape), Kernel())
+        with pytest.raises(ValueError, match=r"flow targets must be \(n, 2\)"):
+            MotionPattern(atoms=(0, 1), flow=flow, prior_weight=1.0)
+
+    def test_component_views_are_flow_columns_on_its_factor(self):
+        pat = make_pattern(lambda p: (np.sin(p[:, 0]), np.cos(p[:, 1])))
+        q = np.random.default_rng(11).uniform(-3, 3, (20, 2))
+        mean, var = posterior(pat.flow, q)
+        for col, gp in enumerate((pat.gp_x, pat.gp_y)):
+            assert gp._chol is pat.flow._chol and gp.inputs is pat.flow.inputs
+            assert gp.kernel == pat.flow.kernel
+            assert np.array_equal(gp.targets, pat.flow.targets[:, col])
+            mean_c, var_c = posterior(gp, q)
+            assert np.max(np.abs(mean[:, col] - mean_c)) < 1e-12
+            assert np.array_equal(var, var_c)
 
     def test_batched_scores_equal_one_at_a_time(self):
         pat = make_pattern(lambda p: (np.sin(p[:, 1]), 0.5 * p[:, 0]), prior=0.3)
@@ -293,7 +313,7 @@ class TestFlow:
         pat = make_pattern(lambda p: (np.sin(p[:, 1]), 0.5 * p[:, 0]), prior=0.4)
         obs = np.random.default_rng(10).uniform(-2, 2, (7, 4))
         total = np.log(0.4)
-        for col, gp in ((2, pat.gp_x), (3, pat.gp_y)):
+        for col, gp in zip((2, 3), scalar_fits(pat.flow)):
             mean, var = posterior(gp, obs[:, :2])
             var = var + gp.kernel.noise_sd**2
             total += np.sum(-0.5 * (np.log(2 * np.pi) + np.log(var)) - (obs[:, col] - mean) ** 2 / (2 * var))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasnsc.geometry import frame_from_curbs, identity_frame, to_curbside, transform_trajectory
-from tasnsc.gp import Kernel, posterior
+from tasnsc.gp import Kernel, fit, posterior
 from tasnsc.predictor import (
     PipelineConfig,
     PipelineError,
@@ -111,11 +111,8 @@ class TestTrain:
         # second curb); check the dominant pattern near the walkway.
         pattern = max(model.patterns, key=lambda p: p.prior_weight)
         down = np.array([0.0, -1.0])
-        from tasnsc.gp import posterior
-
         for y in (3.0, 1.0, -1.0, -3.0):
-            q = (scene.sidewalk_offset, y)
-            flow = np.array([posterior(pattern.gp_x, q)[0], posterior(pattern.gp_y, q)[0]])
+            flow = posterior(pattern.flow, (scene.sidewalk_offset, y))[0]
             angle = math.degrees(math.acos(np.clip(flow @ down / np.linalg.norm(flow), -1, 1)))
             assert angle < 15.0
 
@@ -151,7 +148,8 @@ class TestTrain:
 
     def test_pattern_gps_share_one_factor(self, model_a):
         for pattern in model_a.patterns:
-            assert pattern.gp_y._chol is pattern.gp_x._chol
+            assert pattern.flow.targets.shape == (len(pattern.flow), 2)
+            assert pattern.gp_x._chol is pattern.gp_y._chol is pattern.flow._chol
 
     def test_patterns_have_positive_counts(self, model_a):
         for pat in model_a.patterns:
@@ -300,7 +298,8 @@ class TestModelIO:
         path = tmp_path / "model.json"
         save_model(model_a, path)
         for pattern in load_model(path).patterns:
-            assert pattern.gp_y._chol is pattern.gp_x._chol
+            assert pattern.flow.targets.shape == (len(pattern.flow), 2)
+            assert pattern.gp_x._chol is pattern.gp_y._chol is pattern.flow._chol
 
     def test_version_checked(self, model_a, tmp_path):
         import json
@@ -397,10 +396,58 @@ class TestPredictMany:
             for cand in predict(model_a, frame, obs).candidates:
                 pattern = by_atoms[cand.atoms]
                 before = np.vstack(([start], to_curbside(frame, cand.trajectory.xy)[:-1]))
-                var_x = posterior(pattern.gp_x, before)[1]
-                var_y = posterior(pattern.gp_y, before)[1]
+                flow = pattern.flow
+                var_x, var_y = (
+                    posterior(fit(flow.inputs, flow.targets[:, c], flow.kernel), before)[1] for c in (0, 1)
+                )
                 assert np.max(np.abs(cand.step_variance - (var_x + var_y))) < 1e-12
                 assert np.max(np.abs(cand.step_variance - 2.0 * posterior(pattern.flow, before)[1])) < 1e-12
+
+
+def moved_predictions(model, data, phi, shift):
+    """Predictions for ``data``'s test observations, as given and moved rigidly with their frame.
+
+    The motion is a rotation by ``phi`` then a translation by ``shift``;
+    returns both prediction lists and the motion as a map of points.
+    """
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+    def move(xy):
+        return xy @ rot.T + shift
+
+    frame, obs = data["frame"], observations(data["test"])
+    moved_frame = frame_from_curbs(move(frame.origin), rot @ frame.e1, rot @ frame.e2)
+    moved_obs = [Trajectory(id=o.id, dt=o.dt, times=o.times, xy=move(o.xy)) for o in obs]
+    return predict_many(model, frame, obs), predict_many(model, moved_frame, moved_obs), move
+
+
+class TestRigidMotionProperty:
+    """The transfer claim as a metamorphic test: moving a test scene rigidly moves every prediction the same way."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        phi=st.floats(-math.pi, math.pi),
+        radius=st.floats(0.0, 50.0),
+        heading=st.floats(-math.pi, math.pi),
+    )
+    def test_tasnsc_predictions_move_with_the_scene(self, model_a, small_b, phi, radius, heading):
+        shift = radius * np.array([math.cos(heading), math.sin(heading)])
+        base, moved, move_points = moved_predictions(model_a, small_b, phi, shift)
+        for a_set, b_set in zip(base, moved, strict=True):
+            for a, b in zip(a_set.candidates, b_set.candidates, strict=True):
+                assert b.atoms == a.atoms
+                assert abs(b.likelihood - a.likelihood) <= 1e-9
+                assert np.array_equal(b.trajectory.times, a.trajectory.times)
+                assert np.max(np.abs(b.trajectory.xy - move_points(a.trajectory.xy))) <= 1e-9
+
+    def test_baseline_predictions_do_not(self, small_a, small_b):
+        # The baseline learns in the identity frame, so a moved scene lands
+        # on other cells of its grid and picks other patterns.
+        baseline = train(small_a["train"], small_a["frame"], PipelineConfig(mode="baseline"))
+        base, moved, _ = moved_predictions(baseline, small_b, 0.6, np.array([4.0, -7.0]))
+        assert any(
+            [c.atoms for c in a.candidates] != [c.atoms for c in b.candidates] for a, b in zip(base, moved)
+        )
 
 
 def edited_model_file(model, tmp_path, edit):
@@ -497,6 +544,36 @@ class TestModelChecks:
 
         with pytest.raises(ValueError, match=re.escape("model file: unknown keys ['extra']")):
             load_model(edited_model_file(model_a, tmp_path, edit))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["patterns"][0].update(atoms=[0.0, 1.0]), "pattern atoms must be a pair of integers"),
+            (lambda doc: doc["patterns"][0].update(atoms=[0]), "pattern atoms must be a pair of integers"),
+            (lambda doc: doc["patterns"][0].update(atoms=[True, 0]), "pattern atoms must be a pair of integers"),
+            (lambda doc: doc["patterns"][0].update(extra=1), "pattern: unknown keys ['extra'], missing keys []"),
+            (lambda doc: doc["patterns"][0].pop("vy"), "pattern: unknown keys [], missing keys ['vy']"),
+            (lambda doc: doc["patterns"][0]["vy"].pop(), "has vx of shape"),
+            (lambda doc: doc["dictionary"].update(k=99), "dictionary k is 99, expected"),
+            (lambda doc: doc["dictionary"].update({"lambda": 5.0}), "dictionary lambda is 5.0, expected 0.1"),
+            (lambda doc: doc["dictionary"].update(seed=3), "dictionary seed is 3, expected 0"),
+            (lambda doc: doc["dictionary"].update(extra=1), "dictionary: unknown keys ['extra'], missing keys []"),
+            (lambda doc: doc["patterns"].append(doc["patterns"][0]), "appears more than once"),
+            (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
+        ],
+        ids=["float-atoms", "one-atom", "bool-atom", "pattern-extra-key", "pattern-missing-vy",
+             "vx-vy-lengths", "dictionary-k", "dictionary-lambda", "dictionary-seed",
+             "dictionary-extra-key", "duplicate-pattern", "float-transition"],
+    )
+    def test_bad_record_rejected(self, model_a, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(edited_model_file(model_a, tmp_path, edit))
+
+    def test_model_rejects_duplicate_patterns_and_fractional_transitions(self, model_a):
+        with pytest.raises(ValueError, match=re.escape(f"pattern {model_a.patterns[0].atoms} appears more than once")):
+            dataclasses.replace(model_a, patterns=model_a.patterns + model_a.patterns[:1])
+        with pytest.raises(ValueError, match="transitions must be integer counts, got float64"):
+            dataclasses.replace(model_a, transitions=model_a.transitions + 0.7)
 
     def test_non_integer_config_field(self, model_a, tmp_path):
         def edit(doc):
