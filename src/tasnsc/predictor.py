@@ -150,6 +150,15 @@ class TasnscModel:
                 raise ValueError(f"pattern {(i, j)} has no supporting transitions")
             if pairs.count((i, j)) > 1:
                 raise ValueError(f"pattern {(i, j)} appears more than once")
+        total = self.transitions.sum()
+        for pat in self.patterns:
+            # train writes exactly this value, and JSON round-trips it.
+            want = float(self.transitions[pat.atoms] / total)
+            if pat.prior_weight != want:
+                raise ValueError(
+                    f"pattern {pat.atoms} has prior weight {pat.prior_weight!r}, "
+                    f"its transitions give {want!r}"
+                )
 
 
 @dataclass(frozen=True, eq=False)

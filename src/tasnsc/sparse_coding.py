@@ -13,18 +13,22 @@ to the unit sphere, so the objective never increases across a sweep
 (HALS-style coordinate updates, Cichocki & Phan 2009, on the semi-NMF model
 of Ding, Li & Jordan 2010).
 
-The features are very sparse (well under 1% of the (cell, channel) entries
-are nonzero), so the updates run in Gram form on a sparse ``X``: the code
-pass reads from ``D^T X`` and ``D^T D``, the atom pass from ``X A^T`` and
-``A A^T``, and the dense residual ``X - D A`` is formed only once, for the
-exact objective of the last sweep.
+The training features are very sparse: a trajectory votes in a few dozen
+of the grid's thousands of (cell, channel) entries, and all of them
+together reach only a few percent of the columns of ``X``. The atoms never
+leave those active columns, so dictionary learning runs on the dense
+columns of ``X`` that hold a nonzero entry and scatters the atoms back into
+the full dimension. It falls back to every column only when a random atom
+is drawn: with fewer samples than atoms, or with a (near-)zero sample. The
+updates run in Gram form: the code pass reads from ``D^T X`` and
+``D^T D``, the atom pass from ``X A^T`` and ``A A^T``, and the residual
+``X - D A`` is formed only once, for the exact objective of the last sweep.
 """
 
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .trajectory import Trajectory, TrajectoryError, velocities
 
@@ -189,10 +193,18 @@ def learn_dictionary(
     and is non-increasing. An atom left without codes is reseated on the
     worst-reconstructed sample, ``argmax_j ||x_j - D a_j||^2``.
 
-    Both coordinate passes work in Gram form on a sparse copy of ``X``, so
-    the dense dim x n residual ``X - D A`` is never updated. The code pass
-    reads atom k's correlation as ``(D^T X)[k] - (D^T D)[k] @ A + A[k]``;
-    the atom pass reads the least-squares target as
+    The iteration runs on the active columns of ``X``, those with a nonzero
+    entry, and the atoms are scattered back into ``dim`` columns, zero
+    elsewhere. This is exact: atoms start as rows of ``X`` and are reseated
+    on rows of ``X``, and every update of a column where ``X`` and ``D``
+    are zero leaves it zero. Only a random atom can put mass outside the
+    active columns: one drawn when ``n < k_atoms``, or drawn in place of a
+    (near-)zero sample. In those two cases all ``dim`` columns are used.
+
+    Both coordinate passes work in Gram form, so the residual ``X - D A``
+    is never updated. The code pass reads atom k's correlation as
+    ``(D^T X)[k] - (D^T D)[k] @ A + A[k]``; the atom pass reads the
+    least-squares target as
     ``(X A^T)[:, k] - D @ (A A^T)[:, k] + D[:, k] (A A^T)[k, k]``. The
     objective of every sweep but the last comes from the same Gram
     products, ``0.5 (||X||^2 - 2 <A, D^T X> + <A, D^T D A>) + lam sum(A)``;
@@ -211,58 +223,67 @@ def learn_dictionary(
     n, dim = X.shape
     if k_atoms > dim:
         logger.warning("k_atoms=%d exceeds feature dimension %d", k_atoms, dim)
-    Xs = sparse.csr_matrix(X)  # (n, dim); products with it cost O(nnz)
     sq_norms = np.sum(X * X, axis=1)
+    # Twice the 1e-12 dead-atom threshold, so that no norm rounded
+    # differently below reaches a random draw on the active columns.
+    if n < k_atoms or np.sqrt(np.min(sq_norms)) < 2e-12:
+        cols = np.arange(dim)
+    else:
+        cols = np.flatnonzero(X.any(axis=0))
+    X = X[:, cols]  # (n, m) on the m columns the iteration touches
+    m = len(cols)
 
     rng = np.random.default_rng(seed)
     if n >= k_atoms:
         picks = rng.choice(n, size=k_atoms, replace=False)
         D = X[picks].T.copy()
     else:
-        D = np.vstack((X, rng.standard_normal((k_atoms - n, dim)))).T
+        D = np.vstack((X, rng.standard_normal((k_atoms - n, m)))).T
     norms = np.linalg.norm(D, axis=0)
     dead = norms < 1e-12
     if np.any(dead):
-        D[:, dead] = rng.standard_normal((dim, int(dead.sum())))
+        D[:, dead] = rng.standard_normal((m, int(dead.sum())))
         norms = np.linalg.norm(D, axis=0)
     D /= norms
 
     A = np.zeros((k_atoms, n))
     history = np.empty(iters)
-    DtX = (Xs @ D).T
+    DtX = (X @ D).T
     DtD = D.T @ D
     for it in range(iters):
         # Code pass: exact nonnegative coordinate minimization per atom row.
         for k in range(k_atoms):
             corr = DtX[k] - DtD[k] @ A + A[k]  # residual with atom k's own term restored
-            A[k] = np.maximum(corr - lam, 0.0)
+            np.maximum(corr - lam, 0.0, out=A[k])
         # Atom pass: sphere-constrained least squares, one atom at a time.
-        XAt = Xs.T @ A.T
+        XAt = X.T @ A.T
         AAt = A @ A.T
         for k in range(k_atoms):
             weight = AAt[k, k]
             if weight == 0.0:
                 # Unused atom contributes nothing; reseat it on the worst
                 # reconstructed sample without changing the objective.
-                j = int(np.argmax(_sample_errors(sq_norms, (Xs @ D).T, D.T @ D, A)))
+                j = int(np.argmax(_sample_errors(sq_norms, (X @ D).T, D.T @ D, A)))
                 cand = X[j]
                 if np.linalg.norm(cand) < 1e-12:
-                    cand = rng.standard_normal(dim)
+                    cand = rng.standard_normal(m)
                 D[:, k] = cand / np.linalg.norm(cand)
                 continue
             g = XAt[:, k] - D @ AAt[:, k] + D[:, k] * weight
-            g_norm = np.linalg.norm(g)
+            g_norm = np.sqrt(g @ g)
             if g_norm < 1e-12:
                 continue
             D[:, k] = g / g_norm
         if it == iters - 1:
             history[it] = sparse_objective(X, D.T, A, lam)
         else:
-            DtX = (Xs @ D).T
+            DtX = (X @ D).T
             DtD = D.T @ D
             history[it] = 0.5 * np.sum(_sample_errors(sq_norms, DtX, DtD, A)) + lam * np.sum(A)
 
-    return Dictionary(atoms=D.T), SparseCodes(matrix=A, objective=history)
+    atoms = np.zeros((k_atoms, dim))
+    atoms[:, cols] = D.T
+    return Dictionary(atoms=atoms), SparseCodes(matrix=A, objective=history)
 
 
 @dataclass(frozen=True)
@@ -315,21 +336,20 @@ def segment(traj: Trajectory, dictionary: Dictionary, grid: GridSpec, min_len: i
 
     runs = _runs(labels)
     while len(runs) > 1:
-        short = [r for r in runs if r[2] - r[1] < min_len]
+        short = [i for i, (_, start, stop) in enumerate(runs) if stop - start < min_len]
         if not short:
             break
-        atom, start, stop = min(short, key=lambda r: (r[2] - r[1], r[1]))
-        pos = runs.index((atom, start, stop))
-        neighbors = []
-        if pos > 0:
-            neighbors.append(runs[pos - 1][0])
-        if pos + 1 < len(runs):
-            neighbors.append(runs[pos + 1][0])
+        pos = min(short, key=lambda i: runs[i][2] - runs[i][1])  # the leftmost of the shortest
+        _, start, stop = runs[pos]
+        neighbors = [runs[i][0] for i in (pos - 1, pos + 1) if 0 <= i < len(runs)]
         # Strength of a neighbor: how well its atom explains the short run.
         # max() keeps the first maximal entry, so ties go to the left one.
         best = max(neighbors, key=lambda a: scores[start:stop, a].sum())
-        labels[start:stop] = best
-        runs = _runs(labels)
+        # Relabel the run in place and join it to each neighbor that now
+        # has the same atom: the runs a rescan of the labels would give.
+        lo = pos - 1 if pos > 0 and runs[pos - 1][0] == best else pos
+        hi = pos + 2 if pos + 1 < len(runs) and runs[pos + 1][0] == best else pos + 1
+        runs[lo:hi] = [(best, runs[lo][1], runs[hi - 1][2])]
 
     segments = []
     for atom, start, stop in runs:

@@ -126,15 +126,18 @@ def _walk(rng: np.random.Generator, scene: SceneSpec, s_grid: np.ndarray, pts: n
     total = s_grid[-1]
     lo = max(_MIN_SPEED, scene.speed_mean - 3.0 * scene.speed_sd)
     hi = scene.speed_mean + 3.0 * scene.speed_sd
-    stations = [0.0]
-    s = 0.0
-    while True:
-        speed = min(max(float(rng.normal(scene.speed_mean, scene.speed_sd)), lo), hi)
-        s += speed * dt
-        if s > total:
-            break
-        stations.append(s)
-    stations = np.asarray(stations)
+    # Each step covers at least lo * dt, so this many draws pass the end.
+    # The walk stops at the first station past it; the generator is then
+    # rewound and advanced by exactly the draws used, as one draw per step
+    # would leave it for the noise that follows.
+    state = rng.bit_generator.state
+    draws = rng.normal(scene.speed_mean, scene.speed_sd, int(total / (lo * dt)) + 2)
+    speeds = np.minimum(np.maximum(draws, lo), hi)
+    s = np.cumsum(speeds * dt)  # sums in step order, as a running total does
+    used = int(np.argmax(s > total)) + 1
+    rng.bit_generator.state = state
+    rng.normal(scene.speed_mean, scene.speed_sd, used)
+    stations = np.concatenate(([0.0], s[: used - 1]))
     x = np.interp(stations, s_grid, pts[:, 0])
     y = np.interp(stations, s_grid, pts[:, 1])
     return np.column_stack((x, y))

@@ -281,10 +281,11 @@ class TestEvaluate:
             (lambda doc: doc["dictionary"].update(extra=1), "dictionary: unknown keys ['extra']"),
             (lambda doc: doc["patterns"].append(doc["patterns"][0]), "appears more than once"),
             (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
+            (lambda doc: [p.update(prior_weight=1.0) for p in doc["patterns"]], "has prior weight 1.0"),
         ],
         ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
              "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-lambda",
-             "dictionary-extra-key", "duplicate-pattern", "float-transition"],
+             "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())

@@ -560,10 +560,13 @@ class TestModelChecks:
             (lambda doc: doc["dictionary"].update(extra=1), "dictionary: unknown keys ['extra'], missing keys []"),
             (lambda doc: doc["patterns"].append(doc["patterns"][0]), "appears more than once"),
             (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
+            (lambda doc: [p.update(prior_weight=1.0) for p in doc["patterns"]], "has prior weight 1.0"),
+            (lambda doc: doc["patterns"][-1].update(prior_weight=math.nextafter(doc["patterns"][-1]["prior_weight"], 1)),
+             "has prior weight"),
         ],
         ids=["float-atoms", "one-atom", "bool-atom", "pattern-extra-key", "pattern-missing-vy",
              "vx-vy-lengths", "dictionary-k", "dictionary-lambda", "dictionary-seed",
-             "dictionary-extra-key", "duplicate-pattern", "float-transition"],
+             "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight", "prior-weight-ulp"],
     )
     def test_bad_record_rejected(self, model_a, tmp_path, edit, message):
         with pytest.raises(ValueError, match=re.escape(message)):

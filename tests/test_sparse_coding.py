@@ -280,7 +280,11 @@ def reference_learn_dictionary(features, k_atoms, lam, iters, seed):
 
 @st.composite
 def _well_posed_problems(draw):
-    """Dense Gaussian or sparse nonnegative data with k_atoms <= min(n, dim)."""
+    """Dense Gaussian or sparse nonnegative data with k_atoms <= min(n, dim).
+
+    Up to 8 all-zero columns are mixed in, as the grid cells no training
+    trajectory visits are in ``featurize``'s output.
+    """
     n = draw(st.integers(1, 12))
     dim = draw(st.integers(1, 10))
     k_atoms = draw(st.integers(1, min(n, dim)))
@@ -288,7 +292,26 @@ def _well_posed_problems(draw):
     X = rng.normal(size=(n, dim))
     if draw(st.booleans()):
         X = np.abs(X) * (rng.random((n, dim)) < 0.4)  # like featurize: sparse, nonnegative
+    pad = draw(st.integers(0, 8))
+    X = np.hstack((X, np.zeros((n, pad))))[:, rng.permutation(dim + pad)]
     return X, k_atoms, draw(st.floats(0.0, 0.5)), draw(st.integers(1, 25)), draw(st.integers(0, 2**16))
+
+
+def checked_against_reference(X, k_atoms, lam, iters, seed):
+    """learn_dictionary's atoms, checked against the residual-form reference.
+
+    None where the reference met a margin under 1e-6: there rounding may
+    pick the path, and the two need not agree.
+    """
+    atoms, codes, history, margin = reference_learn_dictionary(X, k_atoms, lam, iters, seed)
+    if margin <= 1e-6:
+        return None
+    dictionary, got = learn_dictionary(X, k_atoms, lam, iters, seed)
+    tol = 1e-9 * (1.0 + abs(history[0]))
+    assert np.max(np.abs(dictionary.atoms - atoms)) <= tol
+    assert np.max(np.abs(got.matrix - codes)) <= tol
+    assert np.max(np.abs(got.objective - history)) <= tol
+    return dictionary.atoms
 
 
 class TestGramFormOracle:
@@ -296,13 +319,30 @@ class TestGramFormOracle:
     @given(problem=_well_posed_problems())
     def test_matches_residual_form(self, problem):
         X, k_atoms, lam, iters, seed = problem
-        atoms, codes, history, margin = reference_learn_dictionary(X, k_atoms, lam, iters, seed)
-        assume(margin > 1e-6)  # no reseat, no path picked by rounding
-        dictionary, got = learn_dictionary(X, k_atoms, lam, iters, seed)
-        tol = 1e-9 * (1.0 + abs(history[0]))
-        assert np.max(np.abs(dictionary.atoms - atoms)) <= tol
-        assert np.max(np.abs(got.matrix - codes)) <= tol
-        assert np.max(np.abs(got.objective - history)) <= tol
+        atoms = checked_against_reference(X, k_atoms, lam, iters, seed)
+        assume(atoms is not None)  # no reseat, no path picked by rounding
+        if np.all(X.any(axis=1)):
+            # Atoms are drawn from samples and reseated on them, so they
+            # stay on the columns where some sample is nonzero.
+            assert np.all(atoms[:, ~X.any(axis=0)] == 0.0)
+
+    def test_zero_sample_runs_on_all_columns(self):
+        # Sample 2 is all zero. Picked as a starting atom, it is replaced by
+        # a random draw over every column, zero columns included.
+        X = np.random.default_rng(0).random((5, 6))
+        X[:, [1, 4]] = 0.0
+        X[2] = 0.0
+        atoms = checked_against_reference(X, 3, 0.05, 10, 0)
+        assert atoms is not None
+        assert np.all(atoms[:, [1, 4]] != 0.0)
+
+    def test_fewer_samples_than_atoms_runs_on_all_columns(self):
+        # Two of five starting atoms are random draws over every column.
+        X = np.random.default_rng(1).random((3, 7))
+        X[:, [0, 5]] = 0.0
+        atoms = checked_against_reference(X, 5, 0.05, 10, 0)
+        assert atoms is not None
+        assert np.all(atoms[:, [0, 5]] != 0.0)
 
 
 def handmade_dictionary():
@@ -397,6 +437,38 @@ _ALL_CASES = traj_from_xy(
 )
 
 
+def oracle_scores(traj):
+    """(n, K) score of each point under each ORACLE_DICT atom, from the scalar pair rule."""
+    scores = np.zeros((len(traj), ORACLE_DICT.k))
+    for k, idx, _ in oracle_pairs(traj, ORACLE_GRID):
+        scores[k] = ORACLE_DICT.atoms[:, idx]
+    scores[-1] = scores[-2]
+    return scores
+
+
+def rescan_segments(scores, min_len):
+    """The merge loop that relabels the points and rescans all the labels after every merge."""
+    labels = np.argmax(scores, axis=1)
+
+    def runs_of(labels):
+        bounds = [0] + [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]] + [len(labels)]
+        return [(int(labels[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    runs = runs_of(labels)
+    while len(runs) > 1:
+        short = [r for r in runs if r[2] - r[1] < min_len]
+        if not short:
+            break
+        atom, start, stop = min(short, key=lambda r: (r[2] - r[1], r[1]))
+        pos = runs.index((atom, start, stop))
+        neighbors = [runs[p][0] for p in (pos - 1, pos + 1) if 0 <= p < len(runs)]
+        labels[start:stop] = max(neighbors, key=lambda a: scores[start:stop, a].sum())
+        runs = runs_of(labels)
+    return [
+        Segment(a, start, stop, low_confidence=float(scores[start:stop, a].sum()) <= 0.0) for a, start, stop in runs
+    ]
+
+
 class TestPairRuleOracle:
     @settings(max_examples=80, deadline=None)
     @given(traj=_trajectories)
@@ -427,10 +499,7 @@ class TestPairRuleOracle:
     def test_segment_matches_scalar_rule(self, traj):
         # With min_len=1 nothing is merged, so each run is a run of the
         # per-point argmax of the oracle's scores.
-        scores = np.zeros((len(traj), ORACLE_DICT.k))
-        for k, idx, _ in oracle_pairs(traj, ORACLE_GRID):
-            scores[k] = ORACLE_DICT.atoms[:, idx]
-        scores[-1] = scores[-2]
+        scores = oracle_scores(traj)
         labels = np.argmax(scores, axis=1)
         bounds = [0] + [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]] + [len(labels)]
         expected = [
@@ -438,6 +507,25 @@ class TestPairRuleOracle:
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
         assert segment(traj, ORACLE_DICT, ORACLE_GRID, min_len=1) == expected
+
+
+# Standstills score zero under every atom, so a short run of them scores
+# its two neighbors' atoms the same: the left neighbor wins the tie.
+_TIED_NEIGHBORS = traj_from_xy(
+    [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, -0.5], [0.0, -0.5], [0.5, -0.25], [0.5, -0.25], [0.75, 0.25],
+     [0.75, 0.25]],
+    dt=0.5,
+)
+
+
+class TestSegmentMerges:
+    @settings(max_examples=120, deadline=None)
+    @given(traj=_trajectories, min_len=st.integers(2, 5))
+    @example(traj=_ALL_CASES, min_len=3)
+    @example(traj=_TIED_NEIGHBORS, min_len=2)
+    def test_matches_relabel_and_rescan(self, traj, min_len):
+        expected = rescan_segments(oracle_scores(traj), min_len)
+        assert segment(traj, ORACLE_DICT, ORACLE_GRID, min_len=min_len) == expected
 
 
 class TestBuildTransitions:
