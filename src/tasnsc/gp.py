@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# The largest float whose square is finite: the kernel squares its scales.
+_MAX_ROOT = float(np.sqrt(np.finfo(float).max))
 
 
 class GPFitError(ValueError):
@@ -50,8 +52,10 @@ class Kernel:
 
     def __post_init__(self):
         for name in ("length_x", "length_y", "signal_sd", "noise_sd"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"kernel parameter {name} must be positive and finite")
+            if not 0 < getattr(self, name) <= _MAX_ROOT:
+                raise ValueError(
+                    f"kernel parameter {name} must be positive and finite, and so must its square"
+                )
 
 
 def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:

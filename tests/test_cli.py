@@ -282,10 +282,17 @@ class TestEvaluate:
             (lambda doc: doc["patterns"].append(doc["patterns"][0]), "appears more than once"),
             (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
             (lambda doc: [p.update(prior_weight=1.0) for p in doc["patterns"]], "has prior weight 1.0"),
+            (lambda doc: doc["patterns"][0]["kernel"].update(signal_sd=1e308),
+             "signal_sd must be positive and finite, and so must its square"),
+            (lambda doc: doc["patterns"][0]["kernel"].update(noise_sd=1e308),
+             "noise_sd must be positive and finite, and so must its square"),
+            (lambda doc: doc["config"].update(t_obs=1e308), "t_obs / dt must be finite"),
+            (lambda doc: doc["config"].update(t_pred=1e308), "t_pred / dt must be finite"),
         ],
         ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
              "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-lambda",
-             "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight"],
+             "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight",
+             "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())

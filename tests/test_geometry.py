@@ -1,8 +1,11 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasnsc.geometry import (
     AffineMap2D,
@@ -229,6 +232,40 @@ class TestProperties:
             T = curbside_transform(f)
             pts = rng.uniform(-30, 30, (10, 2))
             assert np.max(np.abs(T.apply(pts) - to_curbside(f, pts))) < 1e-9
+
+
+_coord = st.floats(-100.0, 100.0)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        origin=st.tuples(_coord, _coord),
+        heading=st.floats(0.0, 2.0 * math.pi),
+        alpha_deg=st.floats(5.0, 175.0),
+        points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=20),
+    )
+    def test_from_curbside_inverts_to_curbside(self, origin, heading, alpha_deg, points):
+        alpha = math.radians(alpha_deg)
+        f = frame_from_curbs(
+            origin, (math.cos(heading), math.sin(heading)), (math.cos(heading + alpha), math.sin(heading + alpha))
+        )
+        p = np.array(points)
+        assert np.max(np.abs(from_curbside(f, to_curbside(f, p)) - p)) <= 1e-9
+
+
+class TestStackedMap:
+    def test_one_call_on_a_stack_is_bitwise_the_calls_per_trajectory(self):
+        # Training maps the points of all trajectories in one call; the
+        # solve treats each point on its own, so the bits must not change.
+        # A single point is left out: LAPACK solves one column on another
+        # path, which can round differently, so training maps it alone.
+        rng = np.random.default_rng(46)
+        for _ in range(30):
+            f = random_frame(rng)
+            parts = [rng.uniform(-60, 60, (n, 2)) for n in rng.choice([0, *range(2, 300)], 20)]
+            stacked = to_curbside(f, np.vstack(parts))
+            assert stacked.tobytes() == np.vstack([to_curbside(f, p) for p in parts]).tobytes()
 
 
 class TestFrameConfig:

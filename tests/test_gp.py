@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +51,16 @@ class TestKernel:
     def test_non_finite_params_rejected(self, name, bad):
         with pytest.raises(ValueError, match=name):
             Kernel(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["length_x", "length_y", "signal_sd", "noise_sd"])
+    def test_square_overflow_rejected(self, name):
+        # A fit squares the scales, so a value whose square overflows would
+        # surface as an OverflowError there instead of a ValueError here.
+        root = math.sqrt(sys.float_info.max)
+        Kernel(**{name: root})  # the largest value accepted
+        for bad in (math.nextafter(root, math.inf), 1e308):
+            with pytest.raises(ValueError, match=f"{name} must be .* so must its square"):
+                Kernel(**{name: bad})
 
     def test_dict_round_trip(self):
         # A kernel's JSON form is its dataclass fields, read back by the

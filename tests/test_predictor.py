@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tasnsc import predictor
 from tasnsc.geometry import frame_from_curbs, identity_frame, to_curbside, transform_trajectory
 from tasnsc.gp import Kernel, fit, posterior
 from tasnsc.predictor import (
@@ -20,8 +22,8 @@ from tasnsc.predictor import (
     save_model,
     train,
 )
-from tasnsc.sparse_coding import GridSpec, segment
-from tasnsc.synthgen import SceneSpec, generate, scene_b, scene_to_config, with_seed
+from tasnsc.sparse_coding import GridSpec, featurize, segment
+from tasnsc.synthgen import SceneSpec, generate, scene_a, scene_b, scene_to_config, with_seed
 from tasnsc.trajectory import Dataset, Trajectory, TrajectoryError, split_horizon
 
 
@@ -56,6 +58,16 @@ class TestPipelineConfig:
     def test_non_integer_rejected(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             PipelineConfig(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "name, fields",
+        [("t_obs", {"t_obs": 1e308}), ("t_pred", {"t_pred": 1e308}), ("t_pred", {"dt": 1e-300, "t_pred": 1e10})],
+    )
+    def test_step_count_overflow_rejected(self, name, fields):
+        # The horizons are counted in steps, int(round(t / dt)), which
+        # cannot take an infinite quotient.
+        with pytest.raises(ValueError, match=f"{name} / dt must be finite"):
+            PipelineConfig(**fields)
 
     def test_numpy_integers_accepted(self):
         assert PipelineConfig(k_atoms=np.int64(4)).k_atoms == 4
@@ -155,6 +167,98 @@ class TestTrain:
         for pat in model_a.patterns:
             assert model_a.transitions[pat.atoms] > 0
             assert 0 < pat.prior_weight <= 1
+
+
+def pattern_records(model) -> list:
+    return [
+        (pat.atoms, pat.prior_weight, pat.flow.inputs.tobytes(), pat.flow.targets.tobytes())
+        for pat in model.patterns
+    ]
+
+
+class TestStackedFrontEnd:
+    """``train`` maps, votes and segments all trajectories in one stack."""
+
+    @pytest.fixture(scope="class")
+    def canonical_a(self):
+        scene = scene_a()
+        return generate(scene, 150, tag="a-train"), scene.frame()
+
+    @pytest.mark.parametrize("mode", ["tasnsc", "baseline"])
+    def test_dropped_trajectories_leave_the_model_unchanged(self, canonical_a, mode):
+        data, frame = canonical_a
+        config = dataclasses.replace(PipelineConfig(mode=mode), grid=train(data, frame, PipelineConfig(mode=mode)).grid)
+        plain = train(data, frame, config)
+        dt = data.dt
+        resting = data.trajectories[3].xy[0]
+        empty = Trajectory(id="empty", dt=dt, times=[], xy=np.empty((0, 2)))
+        single = Trajectory(id="single", dt=dt, times=[0.0], xy=[resting])
+        still = Trajectory(id="still", dt=dt, times=dt * np.arange(6), xy=np.tile(resting, (6, 1)))
+        trajs = list(data.trajectories)
+        padded = [empty, single] + trajs[:70] + [still, empty] + trajs[70:] + [single, still]
+        model = train(Dataset(trajectories=padded), frame, config)
+        assert model.dictionary.atoms.tobytes() == plain.dictionary.atoms.tobytes()
+        assert model.transitions.tobytes() == plain.transitions.tobytes()
+        assert repr(model.final_objective) == repr(plain.final_objective)
+        assert pattern_records(model) == pattern_records(plain)
+
+    def test_grid_fits_each_trajectory_as_mapped_alone(self, small_a):
+        frame = small_a["frame"]
+        trajs = list(small_a["train"])[:20]
+        # Lone points, some beyond the data: LAPACK maps one point on
+        # another path than a stack of them, and about half of them round
+        # differently there.
+        points = np.vstack([t.xy for t in trajs])[::40] * 1.5
+        lone = [Trajectory(id=f"lone-{k}", dt=0.5, times=[0.0], xy=[p]) for k, p in enumerate(points)]
+        trajs = lone[:4] + trajs[:10] + lone[4:] + trajs[10:]
+        with mock.patch.object(predictor, "_fit_grid", wraps=predictor._fit_grid) as fit_grid:
+            train(Dataset(trajectories=trajs), frame, PipelineConfig(k_atoms=4, iters=20))
+        alone = np.vstack([transform_trajectory(frame, t).xy for t in trajs])
+        assert fit_grid.call_args.args[0].tobytes() == alone.tobytes()
+
+    def test_one_clip_warning_with_the_total(self, small_a, caplog):
+        frame = small_a["frame"]
+        curbside = [transform_trajectory(frame, t) for t in small_a["train"]]
+        lo = np.min([t.xy.min(axis=0) for t in curbside], axis=0)
+        hi = np.max([t.xy.max(axis=0) for t in curbside], axis=0)
+        # Half the data's x range: many trajectories leave the grid.
+        grid = GridSpec(lo[0] - 1.0, 0.5 * (lo[0] + hi[0]), lo[1] - 1.0, hi[1] + 1.0, cell=1.0)
+        with caplog.at_level("WARNING"):
+            for traj in curbside:
+                featurize(traj, grid)
+        counts = [int(re.search(r": (\d+) segment midpoints", r.getMessage()).group(1)) for r in caplog.records]
+        assert len(counts) > 1
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            train(small_a["train"], frame, PipelineConfig(k_atoms=6, iters=40, grid=grid))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{sum(counts)} segment midpoints outside grid bounds were clipped"
+        ]
+
+    def test_matches_per_trajectory_featurize_and_segment(self, small_a):
+        config = PipelineConfig(k_atoms=6, iters=40)
+        with mock.patch.object(predictor, "learn_dictionary", wraps=predictor.learn_dictionary) as learn, \
+                mock.patch.object(predictor, "build_transitions", wraps=predictor.build_transitions) as count:
+            model = train(small_a["train"], small_a["frame"], config)
+        curbside = [transform_trajectory(small_a["frame"], t) for t in small_a["train"]]
+        features = np.stack([featurize(t, model.grid) for t in curbside])
+        assert learn.call_args.args[0].tobytes() == features.tobytes()
+        seglists = [segment(t, model.dictionary, model.grid, config.min_segment) for t in curbside]
+        assert count.call_args.args[0] == seglists
+
+    def test_non_finite_curbside_point_names_its_trajectory(self):
+        # Curbs 2e-6 rad apart: a finite local point 1e303 m out maps past
+        # the largest float.
+        eps = 2e-6
+        frame = frame_from_curbs((0.0, 0.0), (1.0, 0.0), (math.cos(eps), math.sin(eps)))
+        walk = 0.5 * np.arange(6)[:, None] * np.array([[1.0, 0.2]])
+        trajs = [
+            Trajectory(id="ok-1", dt=0.5, times=0.5 * np.arange(6), xy=walk),
+            Trajectory(id="far", dt=0.5, times=0.5 * np.arange(6), xy=walk + (0.0, 1e303)),
+            Trajectory(id="ok-2", dt=0.5, times=0.5 * np.arange(6), xy=walk + 1.0),
+        ]
+        with pytest.raises(TrajectoryError, match="'far'"):
+            train(Dataset(trajectories=trajs), frame, PipelineConfig(k_atoms=2))
 
 
 class TestPredict:

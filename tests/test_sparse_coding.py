@@ -528,6 +528,52 @@ class TestSegmentMerges:
         assert segment(traj, ORACLE_DICT, ORACLE_GRID, min_len=min_len) == expected
 
 
+def stacked(trajs):
+    """The trajectories' points in one array, with the offsets of each trajectory."""
+    offsets = np.concatenate(([0], np.cumsum([len(t) for t in trajs])))
+    return np.vstack([t.xy for t in trajs]), offsets
+
+
+_SHORT = [traj_from_xy(np.empty((0, 2)), dt=0.5, id="empty"), traj_from_xy([[0.5, 0.5]], dt=0.5, id="single")]
+
+
+class TestStackedParity:
+    """The stacked front end gives each trajectory what :func:`featurize` and :func:`segment` give it alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trajs=st.lists(st.one_of(_trajectories, st.sampled_from(_SHORT)), min_size=1, max_size=8),
+        min_len=st.integers(1, 5),
+    )
+    @example(trajs=[_SHORT[0], _ALL_CASES, _SHORT[1], _TIED_NEIGHBORS, _SHORT[0]], min_len=2)
+    def test_matches_one_trajectory_at_a_time(self, trajs, min_len):
+        xy, offsets = stacked(trajs)
+        votes = sparse_coding.pair_votes(xy, offsets, 0.5, ORACLE_GRID)
+        X = sparse_coding.featurize_stack(votes, ORACLE_GRID.dim)
+        kept, n_clipped = [], 0
+        with mock.patch.object(sparse_coding.logger, "warning") as warn:
+            for t, (traj, row) in enumerate(zip(trajs, X)):
+                try:
+                    feat = featurize(traj, ORACLE_GRID)
+                except (DegenerateMotionError, TrajectoryError):
+                    assert not row.any()
+                    continue
+                assert row.tobytes() == feat.tobytes()
+                kept.append(t)
+        for (fmt, *args), _ in warn.call_args_list:
+            n_clipped += args[1]
+        assert votes.n_clipped == n_clipped
+        expected = [segment(trajs[t], ORACLE_DICT, ORACLE_GRID, min_len) for t in kept]
+        assert sparse_coding.segment_stack(votes, ORACLE_DICT, min_len, kept) == expected
+
+    def test_short_trajectory_not_segmented(self):
+        xy, offsets = stacked([_ALL_CASES, _SHORT[1]])
+        votes = sparse_coding.pair_votes(xy, offsets, 0.5, ORACLE_GRID)
+        with pytest.raises(TrajectoryError, match="at least 2 points"):
+            sparse_coding.segment_stack(votes, ORACLE_DICT)
+        assert len(sparse_coding.segment_stack(votes, ORACLE_DICT, rows=[0])) == 1
+
+
 class TestBuildTransitions:
     def test_single_pair(self):
         T = build_transitions([[1, 2]], k_atoms=3)
