@@ -12,26 +12,19 @@ import os
 import sys
 from dataclasses import replace
 
-from .geometry import DegenerateFrameError, load_frame
-from .gp import GPFitError
+from .geometry import load_frame
 from .metrics import THRESHOLD_DEG, evaluate, format_table, write_candidate_csv
 from .predictor import PipelineConfig, PipelineError, load_model, save_model, train
-from .sparse_coding import DegenerateMotionError
 from .synthgen import generate, load_scene, with_seed
-from .trajectory import TrajectoryError, load_dataset, save_dataset
+from .trajectory import load_dataset, save_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 _CONFIG_ERRORS = (OSError, ValueError, KeyError, TypeError)
-_PIPELINE_ERRORS = (
-    PipelineError,
-    TrajectoryError,
-    DegenerateMotionError,
-    DegenerateFrameError,
-    GPFitError,
-)
+# Every other error the pipeline raises on bad data is a ValueError.
+_PIPELINE_ERRORS = (PipelineError, ValueError)
 
 
 def _fail(code: int, message: str) -> int:
@@ -89,7 +82,7 @@ def _cmd_train(args) -> int:
     try:
         model = train(dataset, frame, config)
         save_model(model, args.out)
-    except _PIPELINE_ERRORS + (ValueError,) as exc:
+    except _PIPELINE_ERRORS as exc:
         return _fail(EXIT_RUNTIME, f"training failed: {exc}")
     except OSError as exc:
         return _fail(EXIT_RUNTIME, f"cannot write model: {exc}")
@@ -117,7 +110,7 @@ def _cmd_evaluate(args) -> int:
             weighted_mhd=args.weighted_mhd,
             collect_predictions=collected,
         )
-    except _PIPELINE_ERRORS + (ValueError,) as exc:
+    except _PIPELINE_ERRORS as exc:
         return _fail(EXIT_RUNTIME, f"evaluation failed: {exc}")
     report.to_json(args.report)
     if args.emit_plots:
@@ -160,7 +153,7 @@ def _cmd_compare(args) -> int:
                 models[key] = train(tr_data, tr_frame, replace(config, mode=mode))
             report = evaluate(models[key], te_data, te_frame, threshold=args.threshold)
             rows.append(report.table_row(mode, tr_name, te_name))
-    except _PIPELINE_ERRORS + (ValueError,) as exc:
+    except _PIPELINE_ERRORS as exc:
         return _fail(EXIT_RUNTIME, f"comparison failed: {exc}")
 
     with open(args.out, "w") as fh:

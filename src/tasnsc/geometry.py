@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trajectory import Trajectory, TrajectoryError
+
 __all__ = [
     "DegenerateFrameError",
     "CurbsideFrame",
@@ -33,6 +35,7 @@ __all__ = [
     "curbside_transform",
     "to_curbside",
     "from_curbside",
+    "curbside_stack",
     "transform_trajectory",
     "load_frame",
     "frame_from_config",
@@ -179,17 +182,32 @@ def from_curbside(frame: CurbsideFrame, p) -> np.ndarray:
     return comps @ frame.basis.T + frame.origin
 
 
-def transform_trajectory(frame: CurbsideFrame, traj):
-    """Map every position of ``traj`` into the curbside frame; timestamps kept."""
-    from .trajectory import Trajectory
+def curbside_stack(frame: CurbsideFrame, trajectories) -> tuple[np.ndarray, np.ndarray]:
+    """The points of ``trajectories`` stacked and mapped into the curbside frame in one call.
 
-    return Trajectory(
-        id=traj.id,
-        dt=traj.dt,
-        times=traj.times,
-        xy=to_curbside(frame, traj.xy) if len(traj) else traj.xy,
-        intent=traj.intent,
-    )
+    Returns ``(xy, offsets)``: trajectory ``t`` holds the rows
+    ``offsets[t]:offsets[t + 1]`` of the (N, 2) array ``xy``. Each point
+    gets the bits it gets in a map of its trajectory alone. Raises
+    :class:`TrajectoryError` naming the first trajectory with a point that
+    maps to a non-finite value.
+    """
+    offsets = np.concatenate(([0], np.cumsum([len(t) for t in trajectories])))
+    xy = to_curbside(frame, np.vstack([t.xy for t in trajectories]))
+    for t in np.flatnonzero(np.diff(offsets) == 1):
+        # LAPACK solves a lone column on another path, which can round
+        # differently; a one-point trajectory is mapped alone.
+        xy[offsets[t]] = to_curbside(frame, trajectories[t].xy)
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        bad = trajectories[np.searchsorted(offsets, np.argmin(finite), side="right") - 1]
+        raise TrajectoryError(f"{bad.id!r} has positions that the curbside map sends to non-finite values")
+    return xy, offsets
+
+
+def transform_trajectory(frame: CurbsideFrame, traj: Trajectory) -> Trajectory:
+    """Map every position of ``traj`` into the curbside frame; the one-trajectory case of :func:`curbside_stack`."""
+    xy, _ = curbside_stack(frame, [traj])
+    return Trajectory(id=traj.id, dt=traj.dt, times=traj.times, xy=xy, intent=traj.intent)
 
 
 def _check_keys(doc, keys, what: str, partial: bool = False) -> dict:
@@ -220,8 +238,4 @@ def load_frame(path) -> CurbsideFrame:
 
 def frame_to_config(frame: CurbsideFrame) -> dict:
     """Frame as a JSON-ready dict. The angle is derived on load, never stored."""
-    return {
-        "origin": frame.origin.tolist(),
-        "curb1": frame.e1.tolist(),
-        "curb2": frame.e2.tolist(),
-    }
+    return dict(zip(_FRAME_KEYS, (v.tolist() for v in (frame.origin, frame.e1, frame.e2))))

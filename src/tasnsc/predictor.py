@@ -5,8 +5,9 @@ intersection, learns a motion-primitive dictionary there, segments the
 trajectories, counts atom-pair transitions and fits one GP flow field per
 observed transition. Its front end runs once over all trajectories,
 stacked with offsets: one curbside map, one pass of point-pair votes, one
-feature matrix and one segmentation pass. Prediction maps an observed
-trajectory into the *test* intersection's curbside frame, ranks the
+feature matrix and one segmentation pass. Prediction maps the observed
+trajectories into the *test* intersection's curbside frame through the
+same stacked map (:func:`~tasnsc.geometry.curbside_stack`), ranks the
 patterns by likelihood, integrates the top flow fields forward and maps the
 rollouts back into the test intersection's local frame.
 
@@ -24,12 +25,11 @@ import numpy as np
 from .geometry import (
     CurbsideFrame,
     _check_keys,
+    curbside_stack,
     frame_from_config,
     frame_to_config,
     from_curbside,
     identity_frame,
-    to_curbside,
-    transform_trajectory,
 )
 from .gp import GPModel, Kernel, MotionPattern, pattern_log_likelihood, posterior
 from .sparse_coding import (
@@ -41,10 +41,13 @@ from .sparse_coding import (
     pair_votes,
     segment_stack,
 )
-# ``featurize`` and ``segment`` are not called here; the benchmark's tracer
-# wraps ``predictor.featurize`` and ``predictor.segment``.
+from .trajectory import Dataset, Trajectory, TrajectoryError, velocity_stack
+# ``featurize``, ``segment``, ``transform_trajectory`` and ``velocities`` are
+# not called here; the benchmark's tracer wraps them as attributes of this
+# module.
+from .geometry import transform_trajectory  # noqa: F401
 from .sparse_coding import featurize, segment  # noqa: F401
-from .trajectory import Dataset, Trajectory, TrajectoryError, velocities
+from .trajectory import velocities  # noqa: F401
 
 __all__ = [
     "MODEL_VERSION",
@@ -255,18 +258,7 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     if len(dataset) < 2:
         raise PipelineError(f"training needs at least 2 trajectories, got {len(dataset)}")
     _check_dt(dataset.dt, config, "training data")
-    eff = _effective_frame(frame, config.mode)
-    trajectories = dataset.trajectories
-    offsets = np.concatenate(([0], np.cumsum([len(t) for t in trajectories])))
-    xy = to_curbside(eff, np.vstack([t.xy for t in trajectories]))
-    for t in np.flatnonzero(np.diff(offsets) == 1):
-        # LAPACK solves a lone column on another path, which can round
-        # differently; the fitted grid sees the point as mapped alone.
-        xy[offsets[t]] = to_curbside(eff, trajectories[t].xy)
-    finite = np.isfinite(xy).all(axis=1)
-    if not finite.all():
-        bad = trajectories[np.searchsorted(offsets, np.argmin(finite), side="right") - 1]
-        raise TrajectoryError(f"{bad.id!r} has positions that the curbside map sends to non-finite values")
+    xy, offsets = curbside_stack(_effective_frame(frame, config.mode), dataset.trajectories)
     grid = config.grid if config.grid is not None else _fit_grid(xy, config.grid_cell)
 
     votes = pair_votes(xy, offsets, dataset.dt, grid)
@@ -284,11 +276,10 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     seglists = segment_stack(votes, dictionary, config.min_segment, kept)
     transitions = build_transitions(seglists, config.k_atoms)
 
-    # Sample k of the stack is (x, y, vx, vy) of the pair (k, k + 1).
-    samples = np.hstack((xy[:-1], np.diff(xy, axis=0) / dataset.dt))
+    samples, rows = velocity_stack(xy, offsets, [dataset.dt] * len(dataset))
     blocks: dict = {}
     for t, segs in zip(kept, seglists):
-        for i, j, block in _transition_blocks(samples[offsets[t] : offsets[t + 1] - 1], segs):
+        for i, j, block in _transition_blocks(samples[rows[t] : rows[t + 1]], segs):
             blocks.setdefault((i, j), []).append(block)
 
     total = transitions.sum()
@@ -373,10 +364,9 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     if not observations:
         return []
     eff = _effective_frame(test_frame, cfg.mode)
-    obs_curb = [transform_trajectory(eff, observed) for observed in observations]
-    samples = [velocities(o) for o in obs_curb]
-    stacked = np.vstack(samples)
-    counts = [len(s) for s in samples]
+    xy, offsets = curbside_stack(eff, observations)
+    stacked, rows = velocity_stack(xy, offsets, [o.dt for o in observations])
+    counts = np.diff(rows)
 
     # (patterns, observations): one scoring query per pattern for the batch.
     loglik = np.array([pattern_log_likelihood(p, stacked, counts) for p in model.patterns])
@@ -389,12 +379,12 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     # Candidate c is rank c % M of observation c // M.
     m = len(order)
     which = order.T.ravel()
-    start = np.repeat([o.xy[-1] for o in obs_curb], m, axis=0)
+    start = np.repeat(xy[offsets[1:] - 1], m, axis=0)
     points, variances = _rollout(model.patterns, which, start, cfg.dt, n_steps, _guard_box(model.grid))
 
     psets = []
-    for j, (observed, curb) in enumerate(zip(observations, obs_curb)):
-        times = curb.times[-1] + cfg.dt * np.arange(1, n_steps + 1)
+    for j, observed in enumerate(observations):
+        times = observed.times[-1] + cfg.dt * np.arange(1, n_steps + 1)
         candidates = []
         for r in range(m):
             c = j * m + r

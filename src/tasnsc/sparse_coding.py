@@ -81,6 +81,8 @@ class GridSpec:
             raise ValueError(f"cell size must be positive and finite, got {self.cell}")
         if not (-np.inf < self.x_min < self.x_max < np.inf and -np.inf < self.y_min < self.y_max < np.inf):
             raise ValueError("grid bounds must be finite and nonempty")
+        if not max(self.x_max - self.x_min, self.y_max - self.y_min) / self.cell < np.inf or self.dim >= 2**63:
+            raise ValueError(f"cell {self.cell} gives the grid 2**63 or more features")
 
     @property
     def nx(self) -> int:
@@ -343,16 +345,11 @@ def learn_dictionary(
 
 @dataclass(frozen=True)
 class Segment:
-    """A maximal run of trajectory points explained by one atom.
-
-    ``stop`` is exclusive. ``low_confidence`` flags runs whose points had no
-    positive support under any atom.
-    """
+    """A maximal run of trajectory points explained by one atom; ``stop`` is exclusive."""
 
     atom: int
     start: int
     stop: int
-    low_confidence: bool = False
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -420,13 +417,9 @@ def segment_stack(votes: PairVotes, dictionary: Dictionary, min_len: int = 3, ro
     seglists = []
     for t in rows:
         a, b, o = first[t], first[t + 1], bounds[t]
-        own = scores[o : bounds[t + 1]]
         runs = [(atom, start - o, stop - o) for atom, start, stop in zip(run_atoms[a:b], starts[a:b], stops[a:b])]
-        runs = _merge_short_runs(runs, own, min_len)
-        seglists.append([
-            Segment(atom, start, stop, low_confidence=float(own[start:stop, atom].sum()) <= 0.0)
-            for atom, start, stop in runs
-        ])
+        runs = _merge_short_runs(runs, scores[o : bounds[t + 1]], min_len)
+        seglists.append([Segment(atom, start, stop) for atom, start, stop in runs])
     return seglists
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "Trajectory",
     "Dataset",
     "velocities",
+    "velocity_stack",
     "split_horizon",
     "load_dataset",
     "save_dataset",
@@ -107,15 +108,22 @@ class Dataset:
 
 
 def velocities(traj: Trajectory) -> np.ndarray:
-    """Forward-difference velocity samples, one per point except the last.
-
-    Returns an (n-1, 4) array of rows ``(x, y, vx, vy)`` where the velocity
-    at point k is ``(p[k+1] - p[k]) / dt``.
-    """
+    """Forward differences: (n-1, 4) rows ``(x, y, vx, vy)``, the velocity at point k ``(p[k+1] - p[k]) / dt``."""
     if len(traj) < 2:
         raise TrajectoryError(f"{traj.id!r} has fewer than 2 points, no velocities")
-    v = np.diff(traj.xy, axis=0) / traj.dt
-    return np.hstack((traj.xy[:-1], v))
+    return velocity_stack(traj.xy, (0, len(traj)), [traj.dt])[0]
+
+
+def velocity_stack(xy, offsets, dts) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`velocities` of trajectories stacked in ``xy``, trajectory ``t`` at ``offsets[t]:offsets[t + 1]``.
+
+    Trajectory ``t`` is sampled every ``dts[t]``, and its rows are ``rows[row_offsets[t]:row_offsets[t + 1]]``
+    of the returned ``(rows, row_offsets)``. The pairs that join two trajectories are dropped.
+    """
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    rows = np.hstack((xy[:-1], np.diff(xy, axis=0) / np.asarray(dts)[owner[:-1], None]))
+    counts = np.maximum(np.diff(offsets) - 1, 0)
+    return rows[owner[:-1] == owner[1:]], np.concatenate(([0], np.cumsum(counts)))
 
 
 def split_horizon(traj: Trajectory, t_obs: float, t_pred: float) -> tuple[Trajectory, Trajectory]:

@@ -167,6 +167,10 @@ class TestTrain:
              "length_x must be positive and finite"),
             ({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cel": 1}}, "'cel'"),
             ({"grid": {"x_min": float("nan"), "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1}}, "finite"),
+            ({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1e-320}},
+             "cell 1e-320 gives the grid 2**63 or more features"),
+            ({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1e-300}},
+             "cell 1e-300 gives the grid 2**63 or more features"),
         ],
     )
     def test_bad_config_exits_2(self, workdir, tmp_path, capsys, cfg, message):
@@ -288,11 +292,14 @@ class TestEvaluate:
              "noise_sd must be positive and finite, and so must its square"),
             (lambda doc: doc["config"].update(t_obs=1e308), "t_obs / dt must be finite"),
             (lambda doc: doc["config"].update(t_pred=1e308), "t_pred / dt must be finite"),
+            (lambda doc: doc["grid"].update(cell=1e-320), "cell 1e-320 gives the grid 2**63 or more features"),
+            (lambda doc: doc["grid"].update(cell=1e-300), "cell 1e-300 gives the grid 2**63 or more features"),
         ],
         ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
              "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-lambda",
              "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight",
-             "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow"],
+             "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow",
+             "grid-cells-overflow", "grid-features-overflow"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())

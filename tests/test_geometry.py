@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tasnsc.geometry import (
     AffineMap2D,
     DegenerateFrameError,
+    curbside_stack,
     curbside_transform,
     frame_from_config,
     frame_from_curbs,
@@ -256,16 +257,23 @@ class TestRoundTripProperty:
 
 class TestStackedMap:
     def test_one_call_on_a_stack_is_bitwise_the_calls_per_trajectory(self):
-        # Training maps the points of all trajectories in one call; the
-        # solve treats each point on its own, so the bits must not change.
-        # A single point is left out: LAPACK solves one column on another
-        # path, which can round differently, so training maps it alone.
+        # curbside_stack maps the points of all trajectories in one call;
+        # the solve treats each point on its own, so the bits must not
+        # change. A single point is left out of the raw stack: LAPACK
+        # solves one column on another path, which can round differently,
+        # so curbside_stack maps it alone.
         rng = np.random.default_rng(46)
         for _ in range(30):
             f = random_frame(rng)
             parts = [rng.uniform(-60, 60, (n, 2)) for n in rng.choice([0, *range(2, 300)], 20)]
             stacked = to_curbside(f, np.vstack(parts))
             assert stacked.tobytes() == np.vstack([to_curbside(f, p) for p in parts]).tobytes()
+            parts += [rng.uniform(-60, 60, (1, 2)) for _ in range(5)]
+            rng.shuffle(parts)
+            trajs = [Trajectory(id=str(k), dt=0.5, times=0.5 * np.arange(len(p)), xy=p) for k, p in enumerate(parts)]
+            xy, offsets = curbside_stack(f, trajs)
+            assert xy.tobytes() == np.vstack([to_curbside(f, p) for p in parts]).tobytes()
+            assert offsets.tolist() == np.cumsum([0] + [len(p) for p in parts]).tolist()
 
 
 class TestFrameConfig:

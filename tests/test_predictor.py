@@ -24,7 +24,7 @@ from tasnsc.predictor import (
 )
 from tasnsc.sparse_coding import GridSpec, featurize, segment
 from tasnsc.synthgen import SceneSpec, generate, scene_a, scene_b, scene_to_config, with_seed
-from tasnsc.trajectory import Dataset, Trajectory, TrajectoryError, split_horizon
+from tasnsc.trajectory import Dataset, Trajectory, TrajectoryError, split_horizon, velocities
 
 
 def straight_scene(**overrides):
@@ -177,7 +177,10 @@ def pattern_records(model) -> list:
 
 
 class TestStackedFrontEnd:
-    """``train`` maps, votes and segments all trajectories in one stack."""
+    """``train`` maps, votes and segments all trajectories in one stack.
+
+    ``predict_many`` maps and scores all its observations in one stack.
+    """
 
     @pytest.fixture(scope="class")
     def canonical_a(self):
@@ -259,6 +262,30 @@ class TestStackedFrontEnd:
         ]
         with pytest.raises(TrajectoryError, match="'far'"):
             train(Dataset(trajectories=trajs), frame, PipelineConfig(k_atoms=2))
+
+    def test_scores_the_samples_of_each_observation_mapped_alone(self, model_a, small_b):
+        frame = small_b["frame"]
+        obs = observations(small_b["test"])[:5]
+        # Within the pipeline's dt tolerance, but its own divisor.
+        obs[2] = Trajectory(id="slow-clock", dt=0.5 + 5e-10, times=obs[2].times, xy=obs[2].xy)
+        with mock.patch.object(
+            predictor, "pattern_log_likelihood", wraps=predictor.pattern_log_likelihood
+        ) as score:
+            predict_many(model_a, frame, obs)
+        samples = [velocities(transform_trajectory(frame, o)) for o in obs]
+        assert score.call_count == len(model_a.patterns)
+        for call in score.call_args_list:
+            _, rows, counts = call.args
+            assert rows.tobytes() == np.vstack(samples).tobytes()
+            assert list(counts) == [len(v) for v in samples]
+
+    def test_non_finite_observation_point_names_its_observation(self, model_a, small_a):
+        eps = 2e-6
+        frame = frame_from_curbs((0.0, 0.0), (1.0, 0.0), (math.cos(eps), math.sin(eps)))
+        obs = observations(small_a["test"])[:3]
+        obs[1] = Trajectory(id="far", dt=obs[1].dt, times=obs[1].times, xy=obs[1].xy + (0.0, 1e303))
+        with pytest.raises(TrajectoryError, match="'far'"):
+            predict_many(model_a, frame, obs)
 
 
 class TestPredict:

@@ -49,6 +49,19 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(*bounds)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0, 1, 0, 1, 1e-320), (0, 1, 0, 1, 1e-300), (0, 1, 0, 1, 1e-10), (-1e308, 1e308, 0, 1, 1.0),
+         (0, 2**31, 0, 2**30, 1.0)],
+    )
+    def test_more_features_than_int64_rejected(self, bounds):
+        # Feature indices are int64; 2**31 x 2**30 cells x 4 channels is 2**63.
+        with pytest.raises(ValueError, match=r"2\*\*63 or more features"):
+            GridSpec(*bounds)
+
+    def test_largest_int64_grid_accepted(self):
+        assert GridSpec(0, 2**31, 0, 2**30 - 1, 1.0).dim == 2**63 - 2**33
+
 
 class TestFeaturize:
     def test_single_eastward_step(self):
@@ -364,7 +377,6 @@ class TestSegment:
         assert len(segs) == 1
         assert segs[0].atom == 0
         assert (segs[0].start, segs[0].stop) == (0, 4)
-        assert not segs[0].low_confidence
 
     def test_two_segments_in_order(self):
         d = handmade_dictionary()
@@ -381,7 +393,6 @@ class TestSegment:
         segs = segment(traj, d, GRID)
         assert len(segs) == 1
         assert segs[0].atom == 0
-        assert segs[0].low_confidence
 
     def test_short_blip_merged(self):
         d = handmade_dictionary()
@@ -464,9 +475,7 @@ def rescan_segments(scores, min_len):
         neighbors = [runs[p][0] for p in (pos - 1, pos + 1) if 0 <= p < len(runs)]
         labels[start:stop] = max(neighbors, key=lambda a: scores[start:stop, a].sum())
         runs = runs_of(labels)
-    return [
-        Segment(a, start, stop, low_confidence=float(scores[start:stop, a].sum()) <= 0.0) for a, start, stop in runs
-    ]
+    return [Segment(a, start, stop) for a, start, stop in runs]
 
 
 class TestPairRuleOracle:
@@ -502,10 +511,7 @@ class TestPairRuleOracle:
         scores = oracle_scores(traj)
         labels = np.argmax(scores, axis=1)
         bounds = [0] + [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]] + [len(labels)]
-        expected = [
-            Segment(int(labels[a]), a, b, low_confidence=float(scores[a:b, labels[a]].sum()) <= 0.0)
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
+        expected = [Segment(int(labels[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         assert segment(traj, ORACLE_DICT, ORACLE_GRID, min_len=1) == expected
 
 

@@ -9,6 +9,7 @@ from tasnsc.trajectory import (
     save_dataset,
     split_horizon,
     velocities,
+    velocity_stack,
 )
 
 
@@ -66,6 +67,19 @@ class TestVelocities:
     def test_too_short(self):
         with pytest.raises(TrajectoryError):
             velocities(Trajectory(id="x", dt=0.5, times=[0.0], xy=[[0, 0]]))
+
+    def test_stack_is_bitwise_each_trajectory_alone(self):
+        # Empty and one-point trajectories add no rows; each pair is
+        # divided by its own trajectory's dt.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            parts = [rng.uniform(-60, 60, (n, 2)) for n in rng.choice([0, 1, *range(2, 40)], 12)]
+            dts = rng.choice([0.25, 0.5, 0.5 + 5e-10, 1.0 / 3.0], len(parts))
+            offsets = np.cumsum([0] + [len(p) for p in parts])
+            rows, row_offsets = velocity_stack(np.vstack(parts), offsets, dts)
+            alone = [np.hstack((p[:-1], np.diff(p, axis=0) / dt)) for p, dt in zip(parts, dts) if len(p) >= 2]
+            assert rows.tobytes() == np.vstack(alone).tobytes()
+            assert row_offsets.tolist() == np.cumsum([0] + [max(len(p) - 1, 0) for p in parts]).tolist()
 
     def test_constant_after_resample(self):
         traj = walk(vx=1.1, vy=-0.4, n=24, dt=0.25)
