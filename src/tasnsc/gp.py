@@ -7,6 +7,10 @@ squared exponential; fits keep the lower Cholesky factor ``L`` of the
 regularized Gram matrix, so posterior queries are cheap and the model is
 immutable. A query at ``q`` computes ``k*`` once; the mean is ``k*ᵀα`` and
 the variance ``s² − |L⁻¹k*|²`` (Rasmussen & Williams, *GPML* Alg. 2.1).
+``posterior_mean`` is the mean alone, with no triangular solve; ``posterior``
+solves ``L⁻¹k*`` with one direct call of LAPACK's ``dtrtrs``, the routine
+``scipy.linalg.solve_triangular`` wraps, so it skips that wrapper's per-call
+checks and gives the same bits.
 
 Each motion pattern is the flow field (vx, vy): one GP with two target
 columns, fit once, so both share one Cholesky factor and one variance.
@@ -16,7 +20,8 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "GPFitError",
@@ -26,6 +31,7 @@ __all__ = [
     "kernel_matrix",
     "fit",
     "posterior",
+    "posterior_mean",
     "pattern_log_likelihood",
 ]
 
@@ -136,6 +142,30 @@ def fit(inputs, targets, kernel: Kernel) -> GPModel:
     return GPModel(inputs, targets, kernel)
 
 
+def _cross_covariance(model: GPModel, query) -> tuple:
+    """k(q, x) (m, n) for a query of one point (2,) or a batch (m, 2), and whether it was one point."""
+    q = np.asarray(query, dtype=float)
+    single = q.ndim == 1
+    q = q.reshape(-1, 2)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("GP posterior query contains non-finite values")
+    return kernel_matrix(model.kernel, q, model.inputs), single
+
+
+def _one_point(mean: np.ndarray):
+    return float(mean[0]) if mean.ndim == 1 else mean[0]
+
+
+def posterior_mean(model: GPModel, query):
+    """Posterior mean at one query point (2,) or a batch (m, 2): ``posterior``'s mean, bitwise.
+
+    Needs no triangular solve. Raises :class:`ValueError` on a non-finite query.
+    """
+    k_star_t, single = _cross_covariance(model, query)
+    mean = k_star_t @ model._alpha
+    return _one_point(mean) if single else mean
+
+
 def posterior(model: GPModel, query) -> tuple:
     """Posterior mean and variance at one query point (2,) or a batch (m, 2).
 
@@ -145,20 +175,17 @@ def posterior(model: GPModel, query) -> tuple:
     columns, clamped at zero against the tiny negatives Cholesky round-off
     can leave. Raises :class:`ValueError` on a non-finite query.
     """
-    q = np.asarray(query, dtype=float)
-    single = q.ndim == 1
-    q = q.reshape(-1, 2)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("GP posterior query contains non-finite values")
-    # k(q, x) is k(x, q) transposed, so this is k* (n, m) in Fortran order,
-    # which the triangular solve overwrites in place.
-    k_star_t = kernel_matrix(model.kernel, q, model.inputs)
+    k_star_t, single = _cross_covariance(model, query)
     mean = k_star_t @ model._alpha
-    v = solve_triangular(model._chol, k_star_t.T, lower=True, overwrite_b=True, check_finite=False)
+    # k(q, x) is k*ᵀ (m, n) in C order, so its transpose is k* in Fortran
+    # order, which the triangular solve overwrites in place.
+    v, info = dtrtrs(model._chol, k_star_t.T, lower=1, overwrite_b=1)
+    if info:
+        raise LinAlgError(f"triangular solve failed: dtrtrs info {info}")
     var = model.kernel.signal_sd**2 - np.einsum("ij,ij->j", v, v)
     var = np.maximum(var, 0.0)
     if single:
-        return (float(mean[0]) if mean.ndim == 1 else mean[0]), float(var[0])
+        return _one_point(mean), float(var[0])
     return mean, var
 
 

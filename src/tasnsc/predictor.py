@@ -31,7 +31,7 @@ from .geometry import (
     from_curbside,
     identity_frame,
 )
-from .gp import GPModel, Kernel, MotionPattern, pattern_log_likelihood, posterior
+from .gp import GPModel, Kernel, MotionPattern, pattern_log_likelihood, posterior, posterior_mean
 from .sparse_coding import (
     Dictionary,
     GridSpec,
@@ -114,6 +114,9 @@ class PipelineConfig:
         for name in ("t_obs", "t_pred"):
             if not getattr(self, name) / self.dt < np.inf:
                 raise ValueError(f"{name} / dt must be finite, got {getattr(self, name)} / {self.dt}")
+        # The horizon is round(t_pred / dt) steps, which rounds 0.5 to 0.
+        if round(self.t_pred / self.dt) < 1:
+            raise ValueError(f"t_pred must be at least one step of dt, got {self.t_pred} / {self.dt}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -313,27 +316,36 @@ def _rollout(patterns: list, which: np.ndarray, start: np.ndarray, dt: float, n_
     """Euler-integrate candidates along their patterns' posterior mean flows, together.
 
     Candidate ``c`` starts at ``start[c]`` on ``patterns[which[c]]``. Each
-    step makes one posterior query per pattern over its live candidates; a
-    candidate that leaves the box holds its position and step variance
-    from then on. Returns points (C, n_steps, 2) and step variances
-    (C, n_steps).
+    step makes one posterior mean query per pattern over its live
+    candidates; a candidate that leaves the box holds its position from
+    then on. Step ``k``'s variance is the flow's at the point the step
+    starts from, found after the loop with one posterior query per pattern
+    over all its live steps; a held step repeats the last one. Returns
+    points (C, n_steps, 2) and step variances (C, n_steps).
     """
     p = np.array(start, dtype=float)
     points = np.empty((len(p), n_steps, 2))
-    variances = np.empty((len(p), n_steps))
-    step_var = np.zeros(len(p))
+    starts = np.empty_like(points)
+    live = np.empty((len(p), n_steps), dtype=bool)
     alive = np.ones(len(p), dtype=bool)
     for k in range(n_steps):
+        starts[:, k] = p
+        live[:, k] = alive
         for u in np.unique(which[alive]):
             sel = np.flatnonzero(alive & (which == u))
-            mean, var = posterior(patterns[u].flow, p[sel])
-            p[sel] += dt * mean
-            # var_x + var_y: both velocity components share one variance.
-            step_var[sel] = 2.0 * var
+            p[sel] += dt * posterior_mean(patterns[u].flow, p[sel])
         alive &= (box[0] <= p[:, 0]) & (p[:, 0] <= box[1]) & (box[2] <= p[:, 1]) & (p[:, 1] <= box[3])
         points[:, k] = p
-        variances[:, k] = step_var
-    return points, variances
+
+    step_var = np.empty(live.shape)
+    for u in np.unique(which):
+        sel = live & (which == u)[:, None]
+        # var_x + var_y: both velocity components share one variance.
+        step_var[sel] = 2.0 * posterior(patterns[u].flow, starts[sel])[1]
+    # Every candidate is live at step 0, and ``live`` is a prefix of each row.
+    last_live = live.sum(axis=1) - 1
+    held = np.minimum(np.arange(n_steps), last_live[:, None])
+    return points, np.take_along_axis(step_var, held, axis=1)
 
 
 def predict(model: TasnscModel, test_frame: CurbsideFrame, observed: Trajectory) -> PredictionSet:
@@ -349,8 +361,9 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     ``t_pred / dt`` Euler steps along its posterior mean flow and mapped
     back into the test intersection's local frame; candidate likelihoods
     are the softmax of the pattern log-likelihoods. Each observation's set
-    is the one it would get alone; the batch shares the GP work, with one
-    scoring query per pattern and one rollout query per pattern and step.
+    is the one it would get alone, within 1e-12; the batch shares the GP
+    work, with one scoring query per pattern, one rollout mean query per
+    pattern and step, and one variance solve per rolled-out pattern.
     """
     if not model.patterns:
         raise PipelineError("model has no motion patterns")

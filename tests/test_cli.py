@@ -171,6 +171,7 @@ class TestTrain:
              "cell 1e-320 gives the grid 2**63 or more features"),
             ({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1e-300}},
              "cell 1e-300 gives the grid 2**63 or more features"),
+            ({"t_pred": 0.2, "iters": 20}, "t_pred must be at least one step of dt, got 0.2 / 0.5"),
         ],
     )
     def test_bad_config_exits_2(self, workdir, tmp_path, capsys, cfg, message):
@@ -294,12 +295,15 @@ class TestEvaluate:
             (lambda doc: doc["config"].update(t_pred=1e308), "t_pred / dt must be finite"),
             (lambda doc: doc["grid"].update(cell=1e-320), "cell 1e-320 gives the grid 2**63 or more features"),
             (lambda doc: doc["grid"].update(cell=1e-300), "cell 1e-300 gives the grid 2**63 or more features"),
+            # round(0.25 / 0.5) is 0: Python rounds half to even.
+            (lambda doc: doc["config"].update(t_pred=0.25),
+             "t_pred must be at least one step of dt, got 0.25 / 0.5"),
         ],
         ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
              "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-lambda",
              "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight",
              "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow",
-             "grid-cells-overflow", "grid-features-overflow"],
+             "grid-cells-overflow", "grid-features-overflow", "zero-step-horizon"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())

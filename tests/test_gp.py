@@ -1,9 +1,13 @@
+import copy
 import json
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_triangular
 
 from tasnsc.gp import (
     GPFitError,
@@ -14,6 +18,7 @@ from tasnsc.gp import (
     kernel_matrix,
     pattern_log_likelihood,
     posterior,
+    posterior_mean,
 )
 from tasnsc.predictor import PipelineConfig
 
@@ -163,6 +168,67 @@ class TestPosterior:
         k_star = kernel_matrix(k, pts, q)
         raw = k.signal_sd**2 - np.sum(k_star * np.linalg.solve(gram, k_star), axis=0)
         assert raw.min() > -1e-10
+
+
+def random_gp(rng, n, targets):
+    """A GP on ``n`` random inputs with random targets of shape (n,) or (n, 2) and a random kernel."""
+    kernel = Kernel(
+        length_x=rng.uniform(0.5, 3.0), length_y=rng.uniform(0.5, 3.0),
+        signal_sd=rng.uniform(0.5, 2.0), noise_sd=rng.uniform(0.05, 0.5),
+    )
+    shape = (n,) if targets == "vector" else (n, 2)
+    return fit(rng.uniform(-3, 3, (n, 2)), rng.normal(size=shape), kernel)
+
+
+class TestPosteriorMean:
+    @pytest.mark.parametrize("targets", ["vector", "matrix"])
+    def test_bitwise_posterior_mean(self, targets):
+        rng = np.random.default_rng(11)
+        model = random_gp(rng, 40, targets)
+        batch = rng.uniform(-4, 4, (25, 2))
+        assert np.array_equal(posterior_mean(model, batch), posterior(model, batch)[0])
+        one, want = posterior_mean(model, batch[3]), posterior(model, batch[3])[0]
+        assert type(one) is type(want) and np.array_equal(one, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        model = fit([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0], Kernel())
+        with pytest.raises(ValueError, match="query contains non-finite"):
+            posterior_mean(model, (bad, 0.0))
+        with pytest.raises(ValueError, match="query contains non-finite"):
+            posterior_mean(model, [[0.0, 0.0], [0.0, bad]])
+
+
+class TestPosteriorSolve:
+    @pytest.mark.parametrize("targets, d", [("vector", ()), ("matrix", (2,))])
+    def test_empty_query(self, targets, d):
+        model = random_gp(np.random.default_rng(5), 10, targets)
+        mean, var = posterior(model, np.empty((0, 2)))
+        assert mean.shape == (0, *d) and var.shape == (0,)
+        assert posterior_mean(model, np.empty((0, 2))).shape == (0, *d)
+
+    def test_singular_factor_raises(self):
+        model = random_gp(np.random.default_rng(6), 10, "vector")
+        broken = copy.copy(model)
+        broken._chol = model._chol.copy(order="F")
+        broken._chol[4, 4] = 0.0
+        with pytest.raises(LinAlgError, match="dtrtrs info 5"):
+            posterior(broken, [[0.0, 0.0]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), m=st.integers(1, 120),
+           targets=st.sampled_from(["vector", "matrix"]))
+    def test_variance_bitwise_solve_triangular(self, seed, n, m, targets):
+        # The reference is the scipy call the direct LAPACK solve replaced.
+        rng = np.random.default_rng(seed)
+        model = random_gp(rng, n, targets)
+        q = rng.uniform(-4, 4, (m, 2))
+        v = solve_triangular(
+            model._chol, kernel_matrix(model.kernel, q, model.inputs).T,
+            lower=True, overwrite_b=True, check_finite=False,
+        )
+        want = np.maximum(model.kernel.signal_sd**2 - np.einsum("ij,ij->j", v, v), 0.0)
+        assert np.array_equal(posterior(model, q)[1], want)
 
 
 def make_pattern(flow, prior=1.0, kernel=None, n=25):

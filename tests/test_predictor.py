@@ -69,6 +69,14 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=f"{name} / dt must be finite"):
             PipelineConfig(**fields)
 
+    @pytest.mark.parametrize("t_pred, dt", [(0.2, 0.5), (0.25, 0.5), (0.04, 0.1)])
+    def test_horizon_under_one_step_rejected(self, t_pred, dt):
+        with pytest.raises(ValueError, match="t_pred must be at least one step of dt"):
+            PipelineConfig(t_pred=t_pred, dt=dt)
+
+    def test_one_step_horizon_accepted(self):
+        assert PipelineConfig(t_pred=0.3, dt=0.5).t_pred == 0.3
+
     def test_numpy_integers_accepted(self):
         assert PipelineConfig(k_atoms=np.int64(4)).k_atoms == 4
 
@@ -477,6 +485,25 @@ def assert_close_sets(got, want, tol=1e-12):
         assert abs(a.likelihood - b.likelihood) <= tol
 
 
+def per_step_rollout(patterns, which, start, dt, n_steps, box):
+    """Reference rollout: one full posterior query per pattern and Euler step, variance included."""
+    p = np.array(start, dtype=float)
+    points = np.empty((len(p), n_steps, 2))
+    variances = np.empty((len(p), n_steps))
+    step_var = np.zeros(len(p))
+    alive = np.ones(len(p), dtype=bool)
+    for k in range(n_steps):
+        for u in np.unique(which[alive]):
+            sel = np.flatnonzero(alive & (which == u))
+            mean, var = posterior(patterns[u].flow, p[sel])
+            p[sel] += dt * mean
+            step_var[sel] = 2.0 * var
+        alive &= (box[0] <= p[:, 0]) & (p[:, 0] <= box[1]) & (box[2] <= p[:, 1]) & (p[:, 1] <= box[3])
+        points[:, k] = p
+        variances[:, k] = step_var
+    return points, variances
+
+
 class TestPredictMany:
     def test_empty_batch(self, model_a, small_a):
         assert predict_many(model_a, small_a["frame"], []) == []
@@ -516,6 +543,34 @@ class TestPredictMany:
         obs = [observations(data["test"])[i] for i in order[:size]]
         for got, one in zip(predict_many(model, data["frame"], obs), obs, strict=True):
             assert_close_sets(got, predict(model, data["frame"], one))
+
+    @pytest.mark.parametrize("small_box", [False, True])
+    def test_matches_per_step_rollout(self, model_a, small_a, small_b, small_box, monkeypatch):
+        # Model A on its own scene and across to scene B.
+        model = with_small_guard_box(model_a) if small_box else model_a
+        cases = [(data["frame"], observations(data["test"])) for data in (small_a, small_b)]
+        got = [ps for frame, obs in cases for ps in predict_many(model, frame, obs)]
+        monkeypatch.setattr(predictor, "_rollout", per_step_rollout)
+        want = [ps for frame, obs in cases for ps in predict_many(model, frame, obs)]
+        for g, w in zip(got, want, strict=True):
+            for a, b in zip(g.candidates, w.candidates, strict=True):
+                assert (a.atoms, a.likelihood, a.trajectory.id) == (b.atoms, b.likelihood, b.trajectory.id)
+                assert np.array_equal(a.trajectory.times, b.trajectory.times)
+                assert np.array_equal(a.trajectory.xy, b.trajectory.xy)
+                assert np.max(np.abs(a.step_variance - b.step_variance)) <= 1e-12
+
+    def test_one_variance_solve_per_candidate_pattern(self, model_a, small_a, monkeypatch):
+        calls = []
+        real = predictor.posterior
+
+        def counted(model, query):
+            calls.append(model)
+            return real(model, query)
+
+        monkeypatch.setattr(predictor, "posterior", counted)
+        psets = predict_many(model_a, small_a["frame"], observations(small_a["test"]))
+        flows = {id(p.flow): p.atoms for p in model_a.patterns}
+        assert sorted(flows[id(m)] for m in calls) == sorted({c.atoms for ps in psets for c in ps.candidates})
 
     def test_step_variance_is_sum_of_component_variances(self, model_a, small_b):
         # Each step's variance is var_x + var_y of the two scalar GPs at the
