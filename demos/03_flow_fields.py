@@ -24,9 +24,11 @@ def main():
     east = MotionPattern(atoms=(0, 1), flow=fit(pts, np.tile([1.3, 0.0], (len(pts), 1)), kernel), prior_weight=0.5)
     turning = MotionPattern(atoms=(0, 2), flow=fit(pts, np.column_stack(turning_flow(pts)), kernel), prior_weight=0.5)
 
+    # Every GP query is a batch of points (m, 2): the whole probe line at once.
+    probe = np.column_stack((np.linspace(-3.0, 3.0, 5), np.zeros(5)))
+    mean, var = posterior(turning.flow, probe)
     print("posterior mean of the turning flow along y = 0:")
-    for x in (-3.0, -1.5, 0.0, 1.5, 3.0):
-        (mx, my), sx = posterior(turning.flow, (x, 0.0))
+    for (x, _), (mx, my), sx in zip(probe, mean, var):
         heading = np.degrees(np.arctan2(my, mx))
         print(f"  x={x:+.1f}: v=({mx:+.2f}, {my:+.2f}) m/s, heading {heading:6.1f} deg, sd {np.sqrt(sx):.3f}")
 
@@ -36,8 +38,11 @@ def main():
     ovx, ovy = turning_flow(obs_pts)
     observed = np.column_stack((obs_pts, ovx + rng.normal(0, 0.1, 6), ovy + rng.normal(0, 0.1, 6)))
 
-    ll_turn = pattern_log_likelihood(turning, observed)
-    ll_east = pattern_log_likelihood(east, observed)
+    # Scoring takes a stack of observations and their sample counts, and
+    # gives one log-likelihood per observation; here the stack holds one.
+    counts = [len(observed)]
+    ll_turn = pattern_log_likelihood(turning, observed, counts)[0]
+    ll_east = pattern_log_likelihood(east, observed, counts)[0]
     print(f"\nlog-likelihood under the turning pattern:  {ll_turn:8.2f}")
     print(f"log-likelihood under the eastbound pattern: {ll_east:8.2f}")
     gap = ll_turn - ll_east

@@ -62,14 +62,13 @@ class CurbsideFrame:
     """Intersection corner plus unit vectors along the two curbs.
 
     ``origin``, ``e1`` and ``e2`` are expressed in the local frame of the
-    intersection. ``alpha = arccos(e1 . e2)`` is the curb angle in radians,
-    strictly inside (0, pi).
+    intersection. The axes must not be (anti)parallel; the curb angle
+    ``alpha`` is derived from them.
     """
 
     origin: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         for name in ("origin", "e1", "e2"):
@@ -80,8 +79,13 @@ class CurbsideFrame:
             object.__setattr__(self, name, v)
         if abs(np.linalg.norm(self.e1) - 1.0) > 1e-12 or abs(np.linalg.norm(self.e2) - 1.0) > 1e-12:
             raise DegenerateFrameError("curb axes must be unit vectors")
-        if not 0.0 < self.alpha < np.pi:
-            raise DegenerateFrameError(f"curb angle {self.alpha} outside (0, pi)")
+        if np.sqrt(max(0.0, 1.0 - float(self.e1 @ self.e2) ** 2)) < _MIN_SIN_ALPHA:
+            raise DegenerateFrameError("curbs are parallel or antiparallel")
+
+    @property
+    def alpha(self) -> float:
+        """The curb angle ``arccos(e1 . e2)`` in radians, strictly inside (0, pi)."""
+        return float(np.arccos(np.clip(self.e1 @ self.e2, -1.0, 1.0)))
 
     @property
     def basis(self) -> np.ndarray:
@@ -126,17 +130,12 @@ def frame_from_curbs(origin, dir1, dir2) -> CurbsideFrame:
     origin = _as_point(origin)
     d1 = _as_point(dir1)
     d2 = _as_point(dir2)
-    n1 = np.linalg.norm(d1)
-    n2 = np.linalg.norm(d2)
+    with np.errstate(over="ignore"):  # a length that overflows is rejected below
+        n1 = np.linalg.norm(d1)
+        n2 = np.linalg.norm(d2)
     if not (_MIN_DIR_NORM <= n1 < np.inf and _MIN_DIR_NORM <= n2 < np.inf):
         raise DegenerateFrameError("curb direction has near-zero or non-finite length")
-    e1 = d1 / n1
-    e2 = d2 / n2
-    cos_a = float(np.clip(e1 @ e2, -1.0, 1.0))
-    alpha = float(np.arccos(cos_a))
-    if np.sqrt(max(0.0, 1.0 - cos_a**2)) < _MIN_SIN_ALPHA:
-        raise DegenerateFrameError("curbs are parallel or antiparallel")
-    return CurbsideFrame(origin=origin, e1=e1, e2=e2, alpha=alpha)
+    return CurbsideFrame(origin=origin, e1=d1 / n1, e2=d2 / n2)
 
 
 def identity_frame() -> CurbsideFrame:
@@ -144,24 +143,15 @@ def identity_frame() -> CurbsideFrame:
     return frame_from_curbs((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
-def curbside_transform(frame: CurbsideFrame, local_origin=(0.0, 0.0), local_rotation: float = 0.0) -> AffineMap2D:
+def curbside_transform(frame: CurbsideFrame) -> AffineMap2D:
     """The full affine map from local coordinates to contravariant components.
 
     It is the basis solve of :func:`to_curbside` written as a matrix: the
-    linear part solves ``basis @ L = R`` for the local pose rotation ``R``,
-    and the translation is the contravariant image of the local origin.
-    Geometrically, that is the rigid motion and skew matrix of the module
-    docstring, composed.
-
-    ``local_origin`` and ``local_rotation`` give the pose of the frame the
-    input points live in, relative to the coordinates ``frame`` itself is
-    expressed in; the default is the identity pose (points already share
-    the frame's coordinates).
+    linear part is the inverse of the curb basis, and the translation is
+    the contravariant image of the local origin. Geometrically, that is the
+    rigid motion and skew matrix of the module docstring, composed.
     """
-    c, s = np.cos(local_rotation), np.sin(local_rotation)
-    pose_rot = np.array([[c, -s], [s, c]])
-    linear = np.linalg.solve(frame.basis, pose_rot)
-    return AffineMap2D(linear, to_curbside(frame, _as_point(local_origin)))
+    return AffineMap2D(np.linalg.solve(frame.basis, np.eye(2)), to_curbside(frame, np.zeros(2)))
 
 
 def to_curbside(frame: CurbsideFrame, p) -> np.ndarray:

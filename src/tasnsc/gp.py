@@ -5,8 +5,9 @@ targets are a vector (n,) or a matrix (n, d) whose columns share the inputs,
 the kernel and hence the posterior variance. The kernel is an axis-separable
 squared exponential; fits keep the lower Cholesky factor ``L`` of the
 regularized Gram matrix, so posterior queries are cheap and the model is
-immutable. A query at ``q`` computes ``k*`` once; the mean is ``k*ᵀα`` and
-the variance ``s² − |L⁻¹k*|²`` (Rasmussen & Williams, *GPML* Alg. 2.1).
+immutable. Every query is a batch of points (m, 2) and gets arrays back;
+it computes ``k*`` once, the mean is ``k*ᵀα`` and the variance
+``s² − |L⁻¹k*|²`` (Rasmussen & Williams, *GPML* Alg. 2.1).
 ``posterior_mean`` is the mean alone, with no triangular solve; ``posterior``
 solves ``L⁻¹k*`` with one direct call of LAPACK's ``dtrtrs``, the routine
 ``scipy.linalg.solve_triangular`` wraps, so it skips that wrapper's per-call
@@ -16,7 +17,7 @@ Each motion pattern is the flow field (vx, vy): one GP with two target
 columns, fit once, so both share one Cholesky factor and one variance.
 """
 
-import copy
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,13 @@ class GPModel:
             raise GPFitError("GP fit needs at least one training point")
         if not np.all(np.isfinite(inputs)):
             raise ValueError("GP training data contains non-finite values")
-        targets = _checked_targets(targets, len(inputs))
+        targets = np.atleast_1d(np.asarray(targets, dtype=float))
+        if targets.ndim > 2:
+            raise ValueError(f"GP targets must be (n,) or (n, d), got shape {targets.shape}")
+        if len(targets) != len(inputs):
+            raise ValueError("inputs and targets lengths differ")
+        if not np.all(np.isfinite(targets)):
+            raise ValueError("GP training data contains non-finite values")
         gram = kernel_matrix(kernel, inputs, inputs)
         gram[np.diag_indices_from(gram)] += kernel.noise_sd**2
         try:
@@ -112,29 +119,8 @@ class GPModel:
         self._chol = chol  # L in the lower triangle; the upper one is not read
         self._alpha = cho_solve((chol, True), targets, check_finite=False)
 
-    def with_targets(self, targets) -> "GPModel":
-        """The GP on the same inputs and kernel fit to other targets, (n,) or (n, d).
-
-        Shares this model's Cholesky factor; only the weights are solved.
-        """
-        twin = copy.copy(self)
-        twin.targets = _checked_targets(targets, len(self.inputs))
-        twin._alpha = cho_solve((self._chol, True), twin.targets, check_finite=False)
-        return twin
-
     def __len__(self) -> int:
         return len(self.targets)
-
-
-def _checked_targets(targets, n: int) -> np.ndarray:
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if targets.ndim > 2:
-        raise ValueError(f"GP targets must be (n,) or (n, d), got shape {targets.shape}")
-    if len(targets) != n:
-        raise ValueError("inputs and targets lengths differ")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("GP training data contains non-finite values")
-    return targets
 
 
 def fit(inputs, targets, kernel: Kernel) -> GPModel:
@@ -142,40 +128,35 @@ def fit(inputs, targets, kernel: Kernel) -> GPModel:
     return GPModel(inputs, targets, kernel)
 
 
-def _cross_covariance(model: GPModel, query) -> tuple:
-    """k(q, x) (m, n) for a query of one point (2,) or a batch (m, 2), and whether it was one point."""
+def _cross_covariance(model: GPModel, query) -> np.ndarray:
+    """k(q, x) (m, n) for a batch of query points (m, 2)."""
     q = np.asarray(query, dtype=float)
-    single = q.ndim == 1
-    q = q.reshape(-1, 2)
+    if q.ndim != 2 or q.shape[1] != 2:
+        raise ValueError(f"GP posterior query must be a batch of points (m, 2), got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise ValueError("GP posterior query contains non-finite values")
-    return kernel_matrix(model.kernel, q, model.inputs), single
+    return kernel_matrix(model.kernel, q, model.inputs)
 
 
-def _one_point(mean: np.ndarray):
-    return float(mean[0]) if mean.ndim == 1 else mean[0]
+def posterior_mean(model: GPModel, query) -> np.ndarray:
+    """Posterior mean at a batch of query points (m, 2): ``posterior``'s mean, bitwise.
 
-
-def posterior_mean(model: GPModel, query):
-    """Posterior mean at one query point (2,) or a batch (m, 2): ``posterior``'s mean, bitwise.
-
-    Needs no triangular solve. Raises :class:`ValueError` on a non-finite query.
+    Needs no triangular solve. Raises :class:`ValueError` on a query that is
+    not (m, 2) or not finite.
     """
-    k_star_t, single = _cross_covariance(model, query)
-    mean = k_star_t @ model._alpha
-    return _one_point(mean) if single else mean
+    return _cross_covariance(model, query) @ model._alpha
 
 
 def posterior(model: GPModel, query) -> tuple:
-    """Posterior mean and variance at one query point (2,) or a batch (m, 2).
+    """Posterior mean and variance at a batch of query points (m, 2).
 
-    The mean has the targets' trailing shape per point: a float for a
-    scalar GP at one point, (m,) or (m, d) for a batch. The variance is the
-    latent function variance (no observation noise), shared by all target
-    columns, clamped at zero against the tiny negatives Cholesky round-off
-    can leave. Raises :class:`ValueError` on a non-finite query.
+    The mean is (m,) for a scalar GP and (m, d) for one with d target
+    columns. The variance (m,) is the latent function variance (no
+    observation noise), shared by all target columns, clamped at zero
+    against the tiny negatives Cholesky round-off can leave. Raises
+    :class:`ValueError` on a query that is not (m, 2) or not finite.
     """
-    k_star_t, single = _cross_covariance(model, query)
+    k_star_t = _cross_covariance(model, query)
     mean = k_star_t @ model._alpha
     # k(q, x) is k*ᵀ (m, n) in C order, so its transpose is k* in Fortran
     # order, which the triangular solve overwrites in place.
@@ -183,10 +164,11 @@ def posterior(model: GPModel, query) -> tuple:
     if info:
         raise LinAlgError(f"triangular solve failed: dtrtrs info {info}")
     var = model.kernel.signal_sd**2 - np.einsum("ij,ij->j", v, v)
-    var = np.maximum(var, 0.0)
-    if single:
-        return _one_point(mean), float(var[0])
-    return mean, var
+    return mean, np.maximum(var, 0.0)
+
+
+# One velocity component of a pattern: the flow's inputs and one target column.
+_Component = namedtuple("_Component", "inputs targets")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,34 +195,33 @@ class MotionPattern:
         if self.flow.targets.shape[1:] != (2,):
             raise ValueError(f"a pattern's flow targets must be (n, 2), got shape {self.flow.targets.shape}")
 
-    # Read-only views of one velocity component on the flow's factor. Their
-    # only reader is the benchmark's ``model_key``; they go when it reads ``flow``.
-    gp_x = property(lambda self: self.flow.with_targets(self.flow.targets[:, 0]))
-    gp_y = property(lambda self: self.flow.with_targets(self.flow.targets[:, 1]))
+    # Read-only (inputs, targets) views of one velocity component: no GP and
+    # no solve. Their only reader is the benchmark's ``model_key``; they go
+    # when it reads ``flow``.
+    gp_x = property(lambda self: _Component(self.flow.inputs, self.flow.targets[:, 0]))
+    gp_y = property(lambda self: _Component(self.flow.inputs, self.flow.targets[:, 1]))
 
 
-def pattern_log_likelihood(pattern: MotionPattern, observed, counts=None):
-    """Log-likelihood of observed (x, y, vx, vy) samples under the pattern.
+def pattern_log_likelihood(pattern: MotionPattern, samples, counts) -> np.ndarray:
+    """Log-likelihoods of stacked observations under the pattern, one per observation.
 
-    The velocity components are scored independently under the flow's
-    posterior at each position, using the predictive variance for a noisy
-    observation (posterior variance plus noise variance); the log prior
-    weight of the pattern is added.
-
-    With ``counts``, ``observed`` stacks several observations of those
-    sample counts, in order; all are scored with one posterior query and
-    the result is an array of their log-likelihoods.
+    ``samples`` (N, 4) stacks the (x, y, vx, vy) samples of observations of
+    ``counts`` samples each, in order, scored with one posterior query. The
+    velocity components are scored independently under the flow's
+    posterior, with the variance of a noisy observation (posterior plus
+    noise variance), and the log prior weight of the pattern is added.
     """
-    samples = np.asarray(observed, dtype=float).reshape(-1, 4)
-    sizes = [len(samples)] if counts is None else counts
-    owner = np.repeat(np.arange(len(sizes)), sizes)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 4:
+        raise ValueError(f"observed samples must be (N, 4), got shape {samples.shape}")
+    owner = np.repeat(np.arange(len(counts)), counts)
     if len(owner) != len(samples):
         raise ValueError(f"counts sum to {len(owner)}, got {len(samples)} samples")
-    total = np.full(len(sizes), np.log(pattern.prior_weight))
+    total = np.full(len(counts), np.log(pattern.prior_weight))
     if len(samples):
         mean, var = posterior(pattern.flow, samples[:, :2])
         var += pattern.flow.kernel.noise_sd**2
         resid = samples[:, 2:] - mean
         per_sample = -(_LOG_2PI + np.log(var)) - np.einsum("ij,ij->i", resid, resid) / (2.0 * var)
-        total += np.bincount(owner, weights=per_sample, minlength=len(sizes))
-    return float(total[0]) if counts is None else total
+        total += np.bincount(owner, weights=per_sample, minlength=len(counts))
+    return total

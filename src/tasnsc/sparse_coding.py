@@ -81,7 +81,9 @@ class GridSpec:
             raise ValueError(f"cell size must be positive and finite, got {self.cell}")
         if not (-np.inf < self.x_min < self.x_max < np.inf and -np.inf < self.y_min < self.y_max < np.inf):
             raise ValueError("grid bounds must be finite and nonempty")
-        if not max(self.x_max - self.x_min, self.y_max - self.y_min) / self.cell < np.inf or self.dim >= 2**63:
+        with np.errstate(over="ignore"):  # a span that overflows is rejected here
+            span = max(self.x_max - self.x_min, self.y_max - self.y_min) / self.cell
+        if not span < np.inf or self.dim >= 2**63:
             raise ValueError(f"cell {self.cell} gives the grid 2**63 or more features")
 
     @property
@@ -110,9 +112,12 @@ class Dictionary:
             raise ValueError("atoms must be a (K, dim) array")
         if not np.all(np.isfinite(atoms)):
             raise ValueError("dictionary atoms contain non-finite values")
-        norms = np.linalg.norm(atoms, axis=1)
+        with np.errstate(over="ignore"):  # a norm that overflows is rejected below
+            norms = np.linalg.norm(atoms, axis=1)
         if np.any(norms < 1e-12):
             raise ValueError("dictionary contains a zero atom")
+        if not np.all(norms < np.inf):
+            raise ValueError("dictionary contains an atom whose norm overflows")
         atoms = atoms.copy()
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)

@@ -60,6 +60,8 @@ class SceneSpec:
             raise ValueError("sidewalk offset, approach and exit lengths must be positive and finite")
         if not (0 <= self.blend_len < math.inf and 0 <= self.noise_sd < math.inf):
             raise ValueError("blend length and noise sd must be nonnegative and finite")
+        if not isinstance(self.intent_mix, dict):
+            raise ValueError(f"intent mix must map intents to proportions, got {self.intent_mix!r}")
         unknown = set(self.intent_mix) - set(INTENTS)
         if unknown:
             raise ValueError(f"unknown intents in mix: {sorted(unknown)}")
@@ -69,7 +71,7 @@ class SceneSpec:
         seed = self.seed
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"scene seed must be a nonnegative integer, got {seed!r}")
-        self.frame()  # rejects a non-finite corner or heading and parallel curbs
+        _intent_paths(self, INTENTS)  # also builds the frame, which checks the corner and heading
 
     def frame(self) -> CurbsideFrame:
         """Curbside frame of the scene in its local coordinates."""
@@ -121,6 +123,30 @@ def _dense_path(waypoints: np.ndarray, blend_len: float) -> tuple[np.ndarray, np
     return s, pts
 
 
+def _intent_paths(scene: SceneSpec, names) -> dict:
+    """Arc-length tables (s, points) of the named intent paths in the scene's local frame.
+
+    Raises :class:`ValueError` if a path has a point or a length that is
+    not finite, or a leg that rounding shrinks to zero length: its samples
+    could not be spaced along it.
+    """
+    frame = scene.frame()
+    paths = {}
+    # Overflow to inf or NaN is checked for here, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in names:
+            # A point that is not finite makes a leg or the arc length so too.
+            waypoints = from_curbside(frame, _intent_waypoints(scene, name))
+            legs = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
+            ok = np.all((0 < legs) & (legs < np.inf))
+            if ok:
+                paths[name] = _dense_path(waypoints, scene.blend_len)
+                ok = paths[name][0][-1] < np.inf
+            if not ok:
+                raise ValueError(f"the scene's {name} path has a non-finite point or length, or a zero-length leg")
+    return paths
+
+
 def _walk(rng: np.random.Generator, scene: SceneSpec, s_grid: np.ndarray, pts: np.ndarray, dt: float) -> np.ndarray:
     """Sample along-path positions at a per-step random walking speed."""
     total = s_grid[-1]
@@ -153,7 +179,6 @@ def generate(scene: SceneSpec, n: int, dt: float = 0.5, tag: str = "train") -> D
         raise ValueError(f"need at least one trajectory, got {n}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    frame = scene.frame()
     names = [name for name in INTENTS if scene.intent_mix.get(name, 0.0) > 0.0]
     probs = np.array([scene.intent_mix[name] for name in names])
     probs = probs / probs.sum()
@@ -161,10 +186,7 @@ def generate(scene: SceneSpec, n: int, dt: float = 0.5, tag: str = "train") -> D
     seeds = np.random.SeedSequence(scene.seed).spawn(n + 1)
     intents = np.random.default_rng(seeds[0]).choice(names, size=n, p=probs)
 
-    paths = {
-        name: _dense_path(from_curbside(frame, _intent_waypoints(scene, name)), scene.blend_len)
-        for name in names
-    }
+    paths = _intent_paths(scene, names)
     trajectories = []
     for i, intent in enumerate(intents):
         rng = np.random.default_rng(seeds[i + 1])

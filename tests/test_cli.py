@@ -70,6 +70,32 @@ class TestGenerate:
         rc = main(["generate", "--scene", str(scene), "--n", "5", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "edit, path",
+        [({"exit_len": 1e308}, "straight"), ({"approach_len": 1e308}, "straight"), ({"corner": [1e308, 0.0]}, "left")],
+        ids=["exit-len", "approach-len", "corner"],
+    )
+    def test_overflowing_scene_exits_2(self, workdir, tmp_path, capsys, edit, path):
+        # Each length is finite, but a path built from it has a point or an
+        # arc length that overflows; the corner's turning paths overflow
+        # only in their arc length.
+        cfg = json.loads(workdir["scene_a"].read_text())
+        cfg.update(edit)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(cfg))
+        rc = main(["generate", "--scene", str(scene), "--n", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"the scene's {path} path has a non-finite point or length" in capsys.readouterr().err
+
+    def test_intent_mix_list_exits_2(self, workdir, tmp_path, capsys):
+        cfg = json.loads(workdir["scene_a"].read_text())
+        cfg["intent_mix"] = []
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(cfg))
+        rc = main(["generate", "--scene", str(scene), "--n", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "intent mix must map intents to proportions, got []" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [1.5, -3])
     def test_bad_scene_seed_exits_2(self, workdir, tmp_path, capsys, seed):
         cfg = json.loads(workdir["scene_a"].read_text())
@@ -295,6 +321,9 @@ class TestEvaluate:
             (lambda doc: doc["config"].update(t_pred=1e308), "t_pred / dt must be finite"),
             (lambda doc: doc["grid"].update(cell=1e-320), "cell 1e-320 gives the grid 2**63 or more features"),
             (lambda doc: doc["grid"].update(cell=1e-300), "cell 1e-300 gives the grid 2**63 or more features"),
+            # Finite, but the norm's sum of squares overflows.
+            (lambda doc: doc["dictionary"]["atoms"][0].__setitem__(0, 1e308), "an atom whose norm overflows"),
+            (lambda doc: doc["frame"]["curb1"].__setitem__(0, 1e308), "curb direction has near-zero or non-finite length"),
             # round(0.25 / 0.5) is 0: Python rounds half to even.
             (lambda doc: doc["config"].update(t_pred=0.25),
              "t_pred must be at least one step of dt, got 0.25 / 0.5"),
@@ -303,7 +332,8 @@ class TestEvaluate:
              "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-lambda",
              "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight",
              "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow",
-             "grid-cells-overflow", "grid-features-overflow", "zero-step-horizon"],
+             "grid-cells-overflow", "grid-features-overflow", "atom-norm-overflow", "curb-norm-overflow",
+             "zero-step-horizon"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())

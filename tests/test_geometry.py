@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tasnsc.geometry import (
     AffineMap2D,
+    CurbsideFrame,
     DegenerateFrameError,
     curbside_stack,
     curbside_transform,
@@ -98,6 +99,19 @@ class TestFrameFromCurbs:
             assert 0 < f.alpha < np.pi
 
 
+class TestCurbsideFrame:
+    @pytest.mark.parametrize("e2", [(1.0, 0.0), (-1.0, 0.0)], ids=["parallel", "antiparallel"])
+    def test_parallel_axes_rejected(self, e2):
+        # Such a frame has a singular basis: no point has curbside components.
+        with pytest.raises(DegenerateFrameError, match="parallel or antiparallel"):
+            CurbsideFrame(origin=(0.0, 0.0), e1=(1.0, 0.0), e2=e2)
+
+    def test_angle_is_derived_not_given(self):
+        with pytest.raises(TypeError, match="alpha"):
+            CurbsideFrame(origin=(0.0, 0.0), e1=(1.0, 0.0), e2=(0.0, 1.0), alpha=0.3)
+        assert CurbsideFrame(origin=(0.0, 0.0), e1=(1.0, 0.0), e2=(0.0, 1.0)).alpha == np.pi / 2
+
+
 class TestCurbsideTransform:
     def test_skew_part_is_identity_when_orthogonal(self):
         f = frame_from_curbs((0, 0), (1, 0), (0, 1))
@@ -115,19 +129,6 @@ class TestCurbsideTransform:
     def test_pure_translation(self):
         f = frame_from_curbs((5, 5), (1, 0), (0, 1))
         assert curbside_transform(f).apply((6.0, 7.0)) == pytest.approx([1.0, 2.0])
-
-    def test_local_pose_composes(self):
-        # Points in a rotated/translated local frame must land on the same
-        # contravariant components as their world-frame images.
-        rng = np.random.default_rng(11)
-        f = random_frame(rng)
-        rot = 0.81
-        org = np.array([2.0, -3.0])
-        R = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]])
-        T = curbside_transform(f, local_origin=org, local_rotation=rot)
-        p_local = rng.uniform(-5, 5, 2)
-        p_world = R @ p_local + org
-        assert T.apply(p_local) == pytest.approx(to_curbside(f, p_world), abs=1e-9)
 
     def test_invertibility_guard(self):
         with pytest.raises(ValueError):

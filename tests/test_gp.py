@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -79,8 +80,8 @@ class TestKernel:
 class TestFit:
     def test_single_point_interpolation(self):
         model = fit([[0.0, 0.0]], [1.0], TIGHT)
-        mean, _ = posterior(model, (0.0, 0.0))
-        assert mean == pytest.approx(1.0, abs=1e-4)
+        mean, _ = posterior(model, [(0.0, 0.0)])
+        assert mean == pytest.approx([1.0], abs=1e-4)
 
     def test_zero_targets_zero_mean(self):
         rng = np.random.default_rng(0)
@@ -90,8 +91,8 @@ class TestFit:
 
     def test_antisymmetric_targets_cancel_at_origin(self):
         model = fit([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0], Kernel())
-        mean, _ = posterior(model, (0.0, 0.0))
-        assert mean == pytest.approx(0.0, abs=1e-12)
+        mean, _ = posterior(model, [(0.0, 0.0)])
+        assert mean == pytest.approx([0.0], abs=1e-12)
 
     def test_non_spd_raises(self):
         with pytest.raises(GPFitError):
@@ -102,35 +103,14 @@ class TestFit:
             fit(np.empty((0, 2)), np.empty(0), Kernel())
 
 
-class TestWithTargets:
-    def test_matches_fresh_fit_and_shares_factor(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-3.0, 3.0, (15, 2))
-        vx, vy = rng.normal(size=15), rng.normal(size=15)
-        gp_x = GPModel(pts, vx, Kernel())
-        gp_y = gp_x.with_targets(vy)
-        assert gp_y._chol is gp_x._chol
-        assert gp_y.inputs is gp_x.inputs
-        query = rng.uniform(-4.0, 4.0, (7, 2))
-        for got, want in zip(posterior(gp_y, query), posterior(GPModel(pts, vy, Kernel()), query)):
-            assert np.array_equal(got, want)
-        assert np.array_equal(gp_x.targets, vx)
-
-    def test_targets_validated(self):
-        gp = GPModel([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0], Kernel())
-        with pytest.raises(ValueError, match="lengths differ"):
-            gp.with_targets([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            gp.with_targets([1.0, np.nan])
-
-
 class TestPosterior:
     def test_prior_reversion_far_away(self):
         k = Kernel(length_x=1.0, length_y=1.0, signal_sd=0.9, noise_sd=0.1)
         model = fit([[0.0, 0.0]], [2.0], k)
-        mean, var = posterior(model, (15.0, 15.0))
-        assert abs(mean) < 1e-6
-        assert var == pytest.approx(0.9**2, abs=1e-6)
+        mean, var = posterior(model, [(15.0, 15.0)])
+        assert mean.shape == var.shape == (1,)
+        assert abs(mean[0]) < 1e-6
+        assert var[0] == pytest.approx(0.9**2, abs=1e-6)
 
     def test_mean_at_training_inputs(self):
         rng = np.random.default_rng(1)
@@ -187,16 +167,28 @@ class TestPosteriorMean:
         model = random_gp(rng, 40, targets)
         batch = rng.uniform(-4, 4, (25, 2))
         assert np.array_equal(posterior_mean(model, batch), posterior(model, batch)[0])
-        one, want = posterior_mean(model, batch[3]), posterior(model, batch[3])[0]
-        assert type(one) is type(want) and np.array_equal(one, want)
+        one, want = posterior_mean(model, batch[3:4]), posterior(model, batch[3:4])[0]
+        assert one.shape == want.shape == (1, *model.targets.shape[1:]) and np.array_equal(one, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
         model = fit([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0], Kernel())
         with pytest.raises(ValueError, match="query contains non-finite"):
-            posterior_mean(model, (bad, 0.0))
+            posterior_mean(model, [(bad, 0.0)])
         with pytest.raises(ValueError, match="query contains non-finite"):
             posterior_mean(model, [[0.0, 0.0], [0.0, bad]])
+
+
+class TestQueryShape:
+    # A query is a batch of points (m, 2); nothing else is read as points.
+    @pytest.mark.parametrize("query", [[0.0, 0.0], [0.0, 0.0, 1.0, 0.0], np.zeros((2, 1, 2)), np.zeros((3, 3))],
+                             ids=["(2,)", "(4,)", "(2, 1, 2)", "(3, 3)"])
+    @pytest.mark.parametrize("query_fn", [posterior, posterior_mean])
+    def test_non_batch_query_rejected(self, query_fn, query):
+        model = random_gp(np.random.default_rng(4), 10, "matrix")
+        shape = re.escape(str(np.shape(query)))
+        with pytest.raises(ValueError, match=rf"query must be a batch of points \(m, 2\), got shape {shape}"):
+            query_fn(model, query)
 
 
 class TestPosteriorSolve:
@@ -237,22 +229,29 @@ def make_pattern(flow, prior=1.0, kernel=None, n=25):
     return MotionPattern(atoms=(0, 1), flow=fit(pts, np.column_stack(flow(pts)), kernel), prior_weight=prior)
 
 
+def score(pattern, obs) -> float:
+    """The log-likelihood of one observation: a stack of one."""
+    lls = pattern_log_likelihood(pattern, obs, [len(obs)])
+    assert lls.shape == (1,)
+    return float(lls[0])
+
+
 class TestPatternLogLikelihood:
     def test_matching_flow_beats_orthogonal(self):
         east = make_pattern(lambda p: (np.full(len(p), 1.2), np.zeros(len(p))), prior=0.5)
         north = make_pattern(lambda p: (np.zeros(len(p)), np.full(len(p), 1.2)), prior=0.5)
         obs = np.array([[x, 0.0, 1.2, 0.0] for x in np.linspace(-1, 1, 5)])
-        assert pattern_log_likelihood(east, obs) > pattern_log_likelihood(north, obs)
+        assert score(east, obs) > score(north, obs)
 
     def test_empty_observation_is_log_prior(self):
         pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))), prior=0.25)
-        assert pattern_log_likelihood(pat, np.empty((0, 4))) == pytest.approx(np.log(0.25))
+        assert score(pat, np.empty((0, 4))) == pytest.approx(np.log(0.25))
 
     def test_prior_only_difference(self):
         heavy = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))), prior=0.8)
         light = MotionPattern(atoms=heavy.atoms, flow=heavy.flow, prior_weight=0.2)
         obs = np.array([[0.0, 0.0, 1.0, 0.0], [0.5, 0.5, 1.0, 0.1]])
-        diff = pattern_log_likelihood(heavy, obs) - pattern_log_likelihood(light, obs)
+        diff = score(heavy, obs) - score(light, obs)
         assert diff == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_monotone_in_velocity_deviation(self):
@@ -260,7 +259,7 @@ class TestPatternLogLikelihood:
         lls = []
         for dev in (0.0, 0.3, 0.6, 1.2, 2.4):
             obs = np.array([[0.0, 0.0, 1.0 + dev, 0.0]])
-            lls.append(pattern_log_likelihood(pat, obs))
+            lls.append(score(pat, obs))
         assert all(a > b for a, b in zip(lls, lls[1:]))
 
     def test_prior_weight_validated(self):
@@ -309,9 +308,9 @@ class TestVectorGP:
             mean_c, var_c = posterior(fit(pts, v[:, col], k), query)
             assert np.max(np.abs(mean[:, col] - mean_c)) < 1e-12
             assert np.max(np.abs(var - var_c)) < 1e-12
-        one_mean, one_var = posterior(flow, query[0])
-        assert one_mean.shape == (2,) and isinstance(one_var, float)
-        assert np.max(np.abs(one_mean - mean[0])) < 1e-12
+        one_mean, one_var = posterior(flow, query[:1])
+        assert one_mean.shape == (1, 2) and one_var.shape == (1,)
+        assert np.max(np.abs(one_mean - mean[:1])) < 1e-12
 
     def test_variance_matches_dense_solve(self):
         rng = np.random.default_rng(7)
@@ -336,7 +335,7 @@ class TestVectorGP:
     def test_non_finite_query_rejected(self, bad):
         model = fit([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0], Kernel())
         with pytest.raises(ValueError, match="query contains non-finite"):
-            posterior(model, (bad, 0.0))
+            posterior(model, [(bad, 0.0)])
         with pytest.raises(ValueError, match="query contains non-finite"):
             posterior(model, [[0.0, 0.0], [0.0, bad]])
 
@@ -362,17 +361,22 @@ class TestFlow:
         with pytest.raises(ValueError, match=r"flow targets must be \(n, 2\)"):
             MotionPattern(atoms=(0, 1), flow=flow, prior_weight=1.0)
 
-    def test_component_views_are_flow_columns_on_its_factor(self):
+    def test_component_views_are_flow_columns(self):
+        # No GP and no solve: the flow's inputs and one target column, as
+        # the benchmark's model hash reads them.
         pat = make_pattern(lambda p: (np.sin(p[:, 0]), np.cos(p[:, 1])))
-        q = np.random.default_rng(11).uniform(-3, 3, (20, 2))
-        mean, var = posterior(pat.flow, q)
-        for col, gp in enumerate((pat.gp_x, pat.gp_y)):
-            assert gp._chol is pat.flow._chol and gp.inputs is pat.flow.inputs
-            assert gp.kernel == pat.flow.kernel
-            assert np.array_equal(gp.targets, pat.flow.targets[:, col])
-            mean_c, var_c = posterior(gp, q)
-            assert np.max(np.abs(mean[:, col] - mean_c)) < 1e-12
-            assert np.array_equal(var, var_c)
+        for col, view in enumerate((pat.gp_x, pat.gp_y)):
+            inputs, targets = view
+            assert not isinstance(view, GPModel)
+            assert inputs is view.inputs is pat.flow.inputs
+            assert np.shares_memory(targets, pat.flow.targets)
+            assert view.targets.tobytes() == pat.flow.targets[:, col].tobytes()
+
+    def test_samples_must_be_rows_of_four(self):
+        pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
+        for bad in (np.zeros(4), np.zeros((3, 2)), np.zeros((1, 3, 4))):
+            with pytest.raises(ValueError, match=r"samples must be \(N, 4\)"):
+                pattern_log_likelihood(pat, bad, [len(bad)])
 
     def test_batched_scores_equal_one_at_a_time(self):
         pat = make_pattern(lambda p: (np.sin(p[:, 1]), 0.5 * p[:, 0]), prior=0.3)
@@ -380,7 +384,7 @@ class TestFlow:
         counts = [3, 0, 5, 1]
         obs = [rng.uniform(-2, 2, (c, 4)) for c in counts]
         batched = pattern_log_likelihood(pat, np.vstack(obs), counts)
-        single = np.array([pattern_log_likelihood(pat, o) for o in obs])
+        single = np.array([score(pat, o) for o in obs])
         assert np.all(np.abs(batched - single) <= 1e-12 * np.abs(single))
         assert batched[1] == pytest.approx(np.log(0.3))
         with pytest.raises(ValueError, match="counts sum to 10, got 9 samples"):
@@ -395,4 +399,4 @@ class TestFlow:
             mean, var = posterior(gp, obs[:, :2])
             var = var + gp.kernel.noise_sd**2
             total += np.sum(-0.5 * (np.log(2 * np.pi) + np.log(var)) - (obs[:, col] - mean) ** 2 / (2 * var))
-        assert pattern_log_likelihood(pat, obs) == pytest.approx(total, rel=1e-12)
+        assert score(pat, obs) == pytest.approx(total, rel=1e-12)

@@ -132,7 +132,7 @@ class TestTrain:
         pattern = max(model.patterns, key=lambda p: p.prior_weight)
         down = np.array([0.0, -1.0])
         for y in (3.0, 1.0, -1.0, -3.0):
-            flow = posterior(pattern.flow, (scene.sidewalk_offset, y))[0]
+            flow = posterior(pattern.flow, [(scene.sidewalk_offset, y)])[0][0]
             angle = math.degrees(math.acos(np.clip(flow @ down / np.linalg.norm(flow), -1, 1)))
             assert angle < 15.0
 
@@ -169,7 +169,8 @@ class TestTrain:
     def test_pattern_gps_share_one_factor(self, model_a):
         for pattern in model_a.patterns:
             assert pattern.flow.targets.shape == (len(pattern.flow), 2)
-            assert pattern.gp_x._chol is pattern.gp_y._chol is pattern.flow._chol
+            assert pattern.gp_x.inputs is pattern.gp_y.inputs is pattern.flow.inputs
+            assert all(np.shares_memory(v.targets, pattern.flow.targets) for v in (pattern.gp_x, pattern.gp_y))
 
     def test_patterns_have_positive_counts(self, model_a):
         for pat in model_a.patterns:
@@ -438,7 +439,8 @@ class TestModelIO:
         save_model(model_a, path)
         for pattern in load_model(path).patterns:
             assert pattern.flow.targets.shape == (len(pattern.flow), 2)
-            assert pattern.gp_x._chol is pattern.gp_y._chol is pattern.flow._chol
+            assert pattern.gp_x.inputs is pattern.gp_y.inputs is pattern.flow.inputs
+            assert all(np.shares_memory(v.targets, pattern.flow.targets) for v in (pattern.gp_x, pattern.gp_y))
 
     def test_version_checked(self, model_a, tmp_path):
         import json
