@@ -31,7 +31,15 @@ from .geometry import (
     from_curbside,
     identity_frame,
 )
-from .gp import GPModel, Kernel, MotionPattern, pattern_log_likelihood, posterior, posterior_mean
+from .gp import (
+    GPModel,
+    Kernel,
+    MotionPattern,
+    log_likelihood_bounds,
+    pattern_log_likelihood,
+    posterior,
+    posterior_mean,
+)
 from .sparse_coding import (
     Dictionary,
     GridSpec,
@@ -179,7 +187,7 @@ class TasnscModel:
                 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PredictedCandidate:
     """One rolled-out future with its normalized likelihood."""
 
@@ -189,7 +197,7 @@ class PredictedCandidate:
     step_variance: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PredictionSet:
     """Candidate futures in the test intersection's local frame."""
 
@@ -215,6 +223,13 @@ def _fit_grid(xy: np.ndarray, cell: float) -> GridSpec:
         raise PipelineError("no trajectory points to fit a grid to")
     lo = np.floor((xy.min(axis=0) - cell) / cell) * cell
     hi = np.ceil((xy.max(axis=0) + cell) / cell) * cell
+    with np.errstate(over="ignore"):
+        extent = hi - lo
+    if not np.isfinite(extent).all():
+        raise PipelineError(
+            f"grid cell {cell} pads the data bounds to [{lo[0]}, {hi[0]}] x [{lo[1]}, {hi[1]}], "
+            "whose extent overflows"
+        )
     return GridSpec(x_min=lo[0], x_max=hi[0], y_min=lo[1], y_max=hi[1], cell=cell)
 
 
@@ -348,6 +363,32 @@ def _rollout(patterns: list, which: np.ndarray, start: np.ndarray, dt: float, n_
     return points, np.take_along_axis(step_var, held, axis=1)
 
 
+def _top_patterns(patterns: list, samples: np.ndarray, counts: np.ndarray, top_m: int) -> tuple:
+    """Each observation's top M patterns by log-likelihood and their scores, both (M, J).
+
+    The order is that of a stable sort of every pattern's exact score, and
+    each score is :func:`pattern_log_likelihood` of the pattern on the rows
+    of the observations it is computed for. Only the patterns that can still
+    place are scored: round 1 scores each observation's top M by
+    :func:`~tasnsc.gp.log_likelihood_bounds`, whose M-th best exact score,
+    tau, is at most the true M-th best; round 2 scores the pairs whose bound
+    reaches tau. Every other pattern scores strictly below the top M.
+    """
+    bounds = log_likelihood_bounds(patterns, samples, counts)
+    m = min(top_m, len(bounds))
+    loglik = np.full(bounds.shape, -np.inf)
+    todo, scored = np.zeros((2,) + bounds.shape, dtype=bool)
+    np.put_along_axis(todo, np.argsort(-bounds, axis=0, kind="stable")[:m], True, axis=0)
+    for _ in range(2):
+        for p in np.flatnonzero(todo.any(axis=1)):
+            obs = todo[p]
+            loglik[p, obs] = pattern_log_likelihood(patterns[p], samples[np.repeat(obs, counts)], counts[obs])
+        scored |= todo
+        todo = (bounds >= np.sort(loglik, axis=0)[-m]) & ~scored
+    order = np.argsort(-loglik, axis=0, kind="stable")[:m]
+    return order, np.take_along_axis(loglik, order, axis=0)
+
+
 def predict(model: TasnscModel, test_frame: CurbsideFrame, observed: Trajectory) -> PredictionSet:
     """Predict candidate futures for one observation; see :func:`predict_many`."""
     return predict_many(model, test_frame, [observed])[0]
@@ -361,9 +402,14 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     ``t_pred / dt`` Euler steps along its posterior mean flow and mapped
     back into the test intersection's local frame; candidate likelihoods
     are the softmax of the pattern log-likelihoods. Each observation's set
-    is the one it would get alone, within 1e-12; the batch shares the GP
-    work, with one scoring query per pattern, one rollout mean query per
-    pattern and step, and one variance solve per rolled-out pattern.
+    is the one it would get alone, within 1e-12. The batch shares the GP
+    work: one bound pass over all patterns, then one exact scoring query per
+    pattern over the observations it can still place for (see
+    :func:`_top_patterns`), one rollout mean query per pattern and step, and
+    one variance solve per rolled-out pattern. Raises
+    :class:`~tasnsc.trajectory.TrajectoryError` naming the first observation
+    whose curbside samples are not finite or square past the largest float,
+    or whose likelihood underflows to zero under every pattern.
     """
     if not model.patterns:
         raise PipelineError("model has no motion patterns")
@@ -378,13 +424,23 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
         return []
     eff = _effective_frame(test_frame, cfg.mode)
     xy, offsets = curbside_stack(eff, observations)
-    stacked, rows = velocity_stack(xy, offsets, [o.dt for o in observations])
+    with np.errstate(over="ignore"):
+        stacked, rows = velocity_stack(xy, offsets, [o.dt for o in observations])
+        # Scoring squares the samples.
+        finite = np.isfinite(stacked * stacked).all(axis=1)
+    if not finite.all():
+        bad = observations[np.searchsorted(rows, np.argmin(finite), side="right") - 1]
+        raise TrajectoryError(
+            f"observation {bad.id!r} has curbside samples (x, y, vx, vy) that are not finite or whose squares overflow"
+        )
     counts = np.diff(rows)
 
-    # (patterns, observations): one scoring query per pattern for the batch.
-    loglik = np.array([pattern_log_likelihood(p, stacked, counts) for p in model.patterns])
-    order = np.argsort(-loglik, axis=0, kind="stable")[: min(cfg.top_m, len(loglik))]
-    scores = np.take_along_axis(loglik, order, axis=0)
+    order, scores = _top_patterns(model.patterns, stacked, counts, cfg.top_m)
+    unlikely = ~np.isfinite(scores[0])
+    if unlikely.any():
+        raise TrajectoryError(
+            f"observation {observations[np.argmax(unlikely)].id!r} has likelihood zero under every motion pattern"
+        )
     weights = np.exp(scores - scores.max(axis=0))
     weights /= weights.sum(axis=0)
 
@@ -398,6 +454,7 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     psets = []
     for j, observed in enumerate(observations):
         times = observed.times[-1] + cfg.dt * np.arange(1, n_steps + 1)
+        times.setflags(write=False)  # the candidates share it
         candidates = []
         for r in range(m):
             c = j * m + r

@@ -29,7 +29,19 @@ class TrajectoryError(ValueError):
     """Raised for trajectories too short or irregular for an operation."""
 
 
-@dataclass(frozen=True, eq=False)
+def _frozen(values) -> np.ndarray:
+    """``values`` as a float array of the trajectory's own.
+
+    A read-only float array that owns its data, such as another
+    trajectory's, is shared; anything else is copied.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == float and values.base is None and not values.flags.writeable:
+        return values
+    return np.array(values, dtype=float)
+
+
+# Slots keep instances small: each predicted candidate holds one.
+@dataclass(frozen=True, eq=False, slots=True)
 class Trajectory:
     """Uniformly sampled 2-D track: timestamps ``times`` and positions ``xy``.
 
@@ -46,8 +58,9 @@ class Trajectory:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise TrajectoryError(f"dt must be positive and finite, got {self.dt}")
-        times = np.asarray(self.times, dtype=float).copy()
-        xy = np.asarray(self.xy, dtype=float).reshape(-1, 2).copy()
+        times, xy = _frozen(self.times), _frozen(self.xy)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            xy = xy.reshape(-1, 2)
         if times.shape != (len(xy),):
             raise TrajectoryError("times and xy lengths differ")
         if not (np.isfinite(times).all() and np.isfinite(xy).all()):

@@ -212,6 +212,20 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_padded_grid_exits_3(self, workdir, tmp_path, capsys):
+        # Two cells per axis, but the bounds padded by one cell reach
+        # +-1e308 and their difference overflows.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid_cell": 1e308, "k_atoms": 2, "iters": 5}))
+        out = tmp_path / "model.json"
+        rc = main(
+            ["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]),
+             "--out", str(out), "--config", str(path)]
+        )
+        assert rc == 3
+        assert "grid cell 1e+308 pads the data bounds to [-1e+308, 1e+308]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_frame_exits_2(self, workdir, tmp_path, capsys):
         frame = tmp_path / "frame.json"
         frame.write_text('{"origin": [NaN, 0], "curb1": [1, 0], "curb2": [0, 1]}')
@@ -375,6 +389,20 @@ class TestEvaluate:
         )
         assert rc == 3
         assert "dt=0.25" in capsys.readouterr().err
+
+    def test_unscorable_observation_exits_3(self, workdir, model_a_path, tmp_path, capsys):
+        lines = workdir["test_a"].read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["points"][2][1] = 1e308  # (t, x, y): an observed point
+        lines[1] = json.dumps(doc)
+        data = tmp_path / "huge.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["evaluate", "--model", str(model_a_path), "--data", str(data),
+             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 3
+        assert f"observation {doc['id']!r} has curbside samples" in capsys.readouterr().err
 
     def test_emit_plots(self, workdir, model_a_path, tmp_path):
         plots = tmp_path / "plots"

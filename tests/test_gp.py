@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_triangular
 
+from tasnsc import gp as gp_module
 from tasnsc.gp import (
     GPFitError,
     GPModel,
@@ -17,6 +18,7 @@ from tasnsc.gp import (
     MotionPattern,
     fit,
     kernel_matrix,
+    log_likelihood_bounds,
     pattern_log_likelihood,
     posterior,
     posterior_mean,
@@ -400,3 +402,113 @@ class TestFlow:
             var = var + gp.kernel.noise_sd**2
             total += np.sum(-0.5 * (np.log(2 * np.pi) + np.log(var)) - (obs[:, col] - mean) ** 2 / (2 * var))
         assert score(pat, obs) == pytest.approx(total, rel=1e-12)
+
+
+@st.composite
+def random_patterns(draw):
+    """1-3 patterns on random GPs (kernels shared or not) with samples on top of their inputs and far away."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernels = [
+        Kernel(
+            length_x=draw(st.floats(0.2, 5.0)),
+            length_y=draw(st.floats(0.2, 5.0)),
+            signal_sd=draw(st.floats(0.1, 3.0)),
+            noise_sd=draw(st.floats(3e-3, 2.0)),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    patterns = []
+    for p in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 30))
+        inputs = rng.uniform(-3.0, 3.0, (n, 2))
+        targets = rng.normal(0.0, draw(st.floats(0.01, 3.0)), (n, 2))
+        flow = GPModel(inputs, targets, kernels[p % len(kernels)])
+        patterns.append(MotionPattern(atoms=(p, p), flow=flow, prior_weight=draw(st.floats(1e-6, 1.0))))
+    counts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    n = sum(counts)
+    inputs = np.vstack([pat.flow.inputs for pat in patterns])
+    jitter = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+    near = inputs[rng.integers(0, len(inputs), n)] + rng.normal(0.0, jitter, (n, 2))
+    # Within reach of the kernel, and beyond it, where k* is 0 and the
+    # bound is the score up to its margin.
+    far = rng.uniform(-40.0, 40.0, (n, 2)) + rng.choice([0.0, 1e3], (n, 1))
+    xy = np.where(rng.random((n, 1)) < draw(st.floats(0.0, 1.0)), near, far)
+    velocity = rng.normal(0.0, draw(st.floats(1e-3, 50.0)), (n, 2))
+    return patterns, np.hstack((xy, velocity)), counts
+
+
+class TestLogLikelihoodBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(case=random_patterns())
+    def test_bounds_every_exact_score(self, case):
+        patterns, samples, counts = case
+        bounds = log_likelihood_bounds(patterns, samples, counts)
+        assert bounds.shape == (len(patterns), len(counts))
+        for pattern, bound in zip(patterns, bounds):
+            assert np.all(bound >= pattern_log_likelihood(pattern, samples, counts))
+
+    def test_margin_covers_rounding(self):
+        # Found by random search: k* is about 3e-7 here, and without its
+        # margin the bound falls 8.9e-16 below the exact score.
+        kernel = Kernel(3.5781716924806295, 4.141294824294266, 2.947302136328202, 0.7288087441987142)
+        flow = fit([[2.878132251057939, 2.8439064291141314]], [[0.052647124613463214, -1.1284463297585248]], kernel)
+        pat = MotionPattern(atoms=(0, 0), flow=flow, prior_weight=0.5)
+        samples = np.array([[-17.739641748334012, -1.3799791139092763, 1.2978425747991162, 4.1182284532493405]])
+        exact = pattern_log_likelihood(pat, samples, [1])
+        assert log_likelihood_bounds([pat], samples, [1])[0] >= exact
+
+    def test_exact_up_to_margin_far_from_the_inputs(self):
+        # k* is 0 there, so the variance interval is one point and the
+        # bound is the score plus its margin.
+        pat = make_pattern(lambda p: (np.sin(p[:, 1]), 0.5 * p[:, 0]), prior=0.3)
+        samples = np.array([[1e3, 0.0, 0.4, -0.2], [1e3, 5.0, 1.1, 0.3], [-2e3, 1e3, 0.0, 2.0]])
+        exact = pattern_log_likelihood(pat, samples, [2, 1])
+        bound = log_likelihood_bounds([pat], samples, [2, 1])[0]
+        assert np.all(exact <= bound) and np.all(bound <= exact + 1e-8 * (1.0 + np.abs(exact)))
+
+    def test_blocks_equal_each_pattern_alone(self):
+        # Two kernels, interleaved, and a cap that splits the runs further.
+        rng = np.random.default_rng(12)
+        kernels = [Kernel(1.0, 2.0, 1.0, 0.3), Kernel(2.0, 1.0, 0.8, 0.2)]
+        patterns = [
+            MotionPattern(atoms=(p, p), flow=GPModel(rng.uniform(-3, 3, (n, 2)), rng.normal(0, 1, (n, 2)), kernels[k]),
+                          prior_weight=0.2)
+            for p, (n, k) in enumerate([(5, 0), (9, 0), (4, 0), (7, 1), (3, 0), (8, 0)])
+        ]
+        samples = rng.uniform(-3, 3, (6, 4))
+        counts = [2, 0, 4]
+        alone = np.vstack([log_likelihood_bounds([p], samples, counts) for p in patterns])
+        together = log_likelihood_bounds(patterns, samples, counts)
+        assert np.allclose(together, alone, rtol=1e-13, atol=0.0)
+        assert list(gp_module._kernel_runs(patterns, 14)) == [(0, 2), (2, 3), (3, 4), (4, 6)]
+        assert list(gp_module._kernel_runs(patterns, 9)) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+
+    def test_block_size_capped(self, monkeypatch):
+        # A stacked kernel query has at most 2**15 entries; only a pattern
+        # that alone has more is queried by itself.
+        rng = np.random.default_rng(13)
+        kernel = Kernel(1.0, 1.0, 1.0, 0.3)
+        sizes = [300, 120, 250, 60, 300, 10, 5]
+        patterns = [
+            MotionPattern(atoms=(p, p), flow=GPModel(rng.uniform(-9, 9, (n, 2)), rng.normal(0, 1, (n, 2)), kernel),
+                          prior_weight=0.1)
+            for p, n in enumerate(sizes)
+        ]
+        widths = []
+
+        def recording(k, a, b):
+            widths.append(len(b))
+            return kernel_matrix(k, a, b)
+
+        monkeypatch.setattr(gp_module, "kernel_matrix", recording)
+        for n_samples, want in ((4, [1045]), (100, [300, 120, 310, 315]), (400, [300, 120, 250, 60, 300, 15])):
+            widths.clear()
+            log_likelihood_bounds(patterns, rng.uniform(-9, 9, (n_samples, 4)), [n_samples])
+            assert widths == want
+
+    def test_overflowing_residual_bound_is_inf(self):
+        pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
+        samples = np.array([[0.0, 0.0, 1e200, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        with np.errstate(over="ignore"):
+            bounds = log_likelihood_bounds([pat], samples, [1, 1])
+        assert bounds[0, 0] == np.inf and np.isfinite(bounds[0, 1])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from tasnsc import predictor
 from tasnsc.geometry import frame_from_curbs, identity_frame, to_curbside, transform_trajectory
-from tasnsc.gp import Kernel, fit, posterior
+from tasnsc.gp import Kernel, fit, pattern_log_likelihood, posterior
 from tasnsc.predictor import (
     PipelineConfig,
     PipelineError,
@@ -278,15 +279,23 @@ class TestStackedFrontEnd:
         # Within the pipeline's dt tolerance, but its own divisor.
         obs[2] = Trajectory(id="slow-clock", dt=0.5 + 5e-10, times=obs[2].times, xy=obs[2].xy)
         with mock.patch.object(
+            predictor, "log_likelihood_bounds", wraps=predictor.log_likelihood_bounds
+        ) as bound, mock.patch.object(
             predictor, "pattern_log_likelihood", wraps=predictor.pattern_log_likelihood
         ) as score:
             predict_many(model_a, frame, obs)
         samples = [velocities(transform_trajectory(frame, o)) for o in obs]
-        assert score.call_count == len(model_a.patterns)
+        patterns, rows, counts = bound.call_args.args
+        assert patterns is model_a.patterns
+        assert rows.tobytes() == np.vstack(samples).tobytes()
+        assert list(counts) == [len(v) for v in samples]
+        # Each exact scoring gets the rows of the observations it scores, in order.
+        assert score.call_count > 0
         for call in score.call_args_list:
             _, rows, counts = call.args
-            assert rows.tobytes() == np.vstack(samples).tobytes()
-            assert list(counts) == [len(v) for v in samples]
+            scored = [j for j in range(len(obs)) if samples[j].tobytes() in rows.tobytes()]
+            assert rows.tobytes() == np.vstack([samples[j] for j in scored]).tobytes()
+            assert list(counts) == [len(samples[j]) for j in scored]
 
     def test_non_finite_observation_point_names_its_observation(self, model_a, small_a):
         eps = 2e-6
@@ -590,6 +599,101 @@ class TestPredictMany:
                 )
                 assert np.max(np.abs(cand.step_variance - (var_x + var_y))) < 1e-12
                 assert np.max(np.abs(cand.step_variance - 2.0 * posterior(pattern.flow, before)[1])) < 1e-12
+
+
+def exhaustive_top_patterns(patterns, samples, counts, top_m):
+    """Reference: every pattern scored on the whole stack, then a stable sort."""
+    loglik = np.array([pattern_log_likelihood(p, samples, counts) for p in patterns])
+    order = np.argsort(-loglik, axis=0, kind="stable")[: min(top_m, len(loglik))]
+    return order, np.take_along_axis(loglik, order, axis=0)
+
+
+def scoring_rows(frame, obs) -> list:
+    return [velocities(transform_trajectory(frame, o)) for o in obs]
+
+
+@pytest.fixture(scope="module")
+def ranking_cases(model_a, model_b, small_a, small_b):
+    """(model, per-observation scoring rows): both models on both scenes."""
+    return [
+        (model, scoring_rows(data["frame"], observations(data["test"])))
+        for model in (model_a, model_b)
+        for data in (small_a, small_b)
+    ]
+
+
+class TestTopPatterns:
+    @pytest.mark.parametrize("top_m", [1, 3, 5])
+    def test_single_observation_bitwise_exhaustive(self, ranking_cases, top_m):
+        for model, rows in ranking_cases:
+            for v in rows:
+                order, scores = predictor._top_patterns(model.patterns, v, np.array([len(v)]), top_m)
+                want_order, want_scores = exhaustive_top_patterns(model.patterns, v, [len(v)], top_m)
+                assert np.array_equal(order, want_order)
+                assert scores.tobytes() == want_scores.tobytes()
+
+    @pytest.mark.parametrize("top_m", [1, 3, 5])
+    def test_batch_matches_exhaustive(self, ranking_cases, top_m):
+        for model, rows in ranking_cases:
+            counts = np.array([len(v) for v in rows])
+            order, scores = predictor._top_patterns(model.patterns, np.vstack(rows), counts, top_m)
+            want_order, want_scores = exhaustive_top_patterns(model.patterns, np.vstack(rows), counts, top_m)
+            assert np.array_equal(order, want_order)
+            assert np.all(np.abs(scores - want_scores) <= 1e-12 * np.maximum(1.0, np.abs(want_scores)))
+
+    def test_fewer_patterns_than_top_m(self, model_a, small_a):
+        obs = observations(small_a["test"])
+        rows = scoring_rows(small_a["frame"], obs)
+        for patterns in (model_a.patterns[:1], model_a.patterns[:2]):
+            order, scores = predictor._top_patterns(patterns, rows[0], np.array([len(rows[0])]), 3)
+            want_order, want_scores = exhaustive_top_patterns(patterns, rows[0], [len(rows[0])], 3)
+            assert order.shape == (len(patterns), 1) and np.array_equal(order, want_order)
+            assert scores.tobytes() == want_scores.tobytes()
+        # Every pattern is a candidate, in exhaustive order.
+        model = dataclasses.replace(model_a, config=dataclasses.replace(model_a.config, top_m=len(model_a.patterns) + 4))
+        counts = [len(v) for v in rows]
+        want_order, _ = exhaustive_top_patterns(model.patterns, np.vstack(rows), counts, model.config.top_m)
+        for j, pset in enumerate(predict_many(model, small_a["frame"], obs)):
+            assert [c.atoms for c in pset.candidates] == [model.patterns[p].atoms for p in want_order[:, j]]
+
+    def test_candidates_are_the_exhaustive_top_m(self, model_a, small_b):
+        frame, obs = small_b["frame"], observations(small_b["test"])
+        rows = scoring_rows(frame, obs)
+        want_order, _ = exhaustive_top_patterns(model_a.patterns, np.vstack(rows), [len(v) for v in rows], 3)
+        for j, pset in enumerate(predict_many(model_a, frame, obs)):
+            assert [c.atoms for c in pset.candidates] == [model_a.patterns[p].atoms for p in want_order[:, j]]
+
+    def test_one_predict_scores_fewer_patterns_than_the_model_has(self, model_a, small_a):
+        observed = observations(small_a["test"])[0]
+        with mock.patch.object(
+            predictor, "pattern_log_likelihood", wraps=predictor.pattern_log_likelihood
+        ) as score:
+            predict(model_a, small_a["frame"], observed)
+        assert model_a.config.top_m <= score.call_count < len(model_a.patterns)
+
+    def test_zero_likelihood_names_its_observation(self, model_a, small_a):
+        # Each sample squares to a finite value, but the squared velocity
+        # residual, about 2 * 1.3e154**2, does not: every pattern scores -inf.
+        frame = identity_frame()
+        model = dataclasses.replace(model_a, config=dataclasses.replace(model_a.config, mode="baseline"))
+        obs = observations(small_a["test"])[:3]
+        xy = obs[1].xy.copy()
+        xy[3:] += 0.65e154
+        obs[1] = Trajectory(id="fast", dt=obs[1].dt, times=obs[1].times, xy=xy)
+        with np.errstate(over="ignore"), pytest.raises(TrajectoryError, match="observation 'fast' has likelihood zero"):
+            predict_many(model, frame, obs)
+
+    @pytest.mark.parametrize("x", [1e308, 1e200])
+    def test_unscorable_sample_names_its_observation(self, model_a, small_a, x):
+        # Finite points whose curbside samples square past the largest float.
+        obs = observations(small_a["test"])[:3]
+        xy = obs[1].xy.copy()
+        xy[2, 0] = x
+        obs[1] = Trajectory(id="huge", dt=obs[1].dt, times=obs[1].times, xy=xy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrajectoryError, match="observation 'huge' has curbside samples"):
+                predict_many(model_a, small_a["frame"], obs)
 
 
 def moved_predictions(model, data, phi, shift):

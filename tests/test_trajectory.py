@@ -48,6 +48,21 @@ class TestTrajectory:
         assert len(traj) == 0 and traj.duration == 0.0
 
 
+    def test_frozen_arrays_shared_everything_else_copied(self):
+        traj = walk(n=4)
+        assert not traj.times.flags.writeable and not traj.xy.flags.writeable
+        again = Trajectory(id="again", dt=0.5, times=traj.times, xy=traj.xy)
+        assert again.times is traj.times and again.xy is traj.xy
+        writable = np.array([0.0, 0.5, 1.0])
+        view = traj.xy[:3]
+        copied = Trajectory(id="c", dt=0.5, times=writable, xy=view)
+        assert not np.shares_memory(copied.times, writable) and not np.shares_memory(copied.xy, traj.xy)
+        writable[0] = -1.0
+        assert copied.times[0] == 0.0
+        flat = Trajectory(id="flat", dt=0.5, times=[0.0, 0.5], xy=[1.0, 2.0, 3.0, 4.0])
+        assert flat.xy.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 class TestVelocities:
     def test_straight_walk(self):
         v = velocities(walk(vx=1.4, n=10))
