@@ -25,7 +25,16 @@ interval plus ``σ²``. The sample's term ``−(log 2π + log v) − r²/(2v)``,
 with ``r`` the residual against the exact posterior mean ``k*ᵀα``, rises
 up to ``v = r²/2`` and falls after it, so its largest value on the
 interval is its value at ``clip(r²/2, lo, hi)``. A margin of 1e-9 times
-the sum of the terms' magnitudes covers the rounding of both sums.
+the sum of the terms' magnitudes covers the rounding of both sums. The
+bound reads a :class:`PatternTable`, which stacks a model's pattern inputs,
+weights, kernels and log priors once, so a query stacks nothing; exact
+scoring and the rollout read each pattern's own flow.
+
+A fit rejects inputs more than ``_MAX_ROOT / 4`` of its shorter length
+scale from the origin, and weights whose ``n · signal_sd² · max|α|`` exceeds
+``_MAX_ROOT / 4``. So a fit's own values cannot overflow: the Gram matrix
+stays finite, and every posterior mean stays below ``_MAX_ROOT / 4`` in
+magnitude.
 """
 
 from collections import namedtuple
@@ -40,6 +49,7 @@ __all__ = [
     "Kernel",
     "GPModel",
     "MotionPattern",
+    "PatternTable",
     "kernel_matrix",
     "fit",
     "posterior",
@@ -114,6 +124,9 @@ class GPModel:
             raise ValueError("inputs and targets lengths differ")
         if not np.all(np.isfinite(targets)):
             raise ValueError("GP training data contains non-finite values")
+        # Scaled differences stay below _MAX_ROOT / 2, so their squares are finite.
+        if not np.abs(inputs).max() <= (_MAX_ROOT / 4) * min(kernel.length_x, kernel.length_y):
+            raise ValueError(f"GP inputs must lie within {_MAX_ROOT / 4:.4g} shorter length scales of the origin")
         gram = kernel_matrix(kernel, inputs, inputs)
         gram[np.diag_indices_from(gram)] += kernel.noise_sd**2
         try:
@@ -130,6 +143,11 @@ class GPModel:
         self.kernel = kernel
         self._chol = chol  # L in the lower triangle; the upper one is not read
         self._alpha = cho_solve((chol, True), targets, check_finite=False)
+        # Each kernel entry is at most signal_sd², so n · signal_sd² · max|α|
+        # bounds every posterior mean k*ᵀα. Python floats overflow to inf
+        # without a warning.
+        if not kernel.signal_sd**2 * (len(inputs) * float(np.abs(self._alpha).max())) <= _MAX_ROOT / 4:
+            raise ValueError(f"GP weights too large: n · signal_sd² · max|α| must be at most {_MAX_ROOT / 4:.4g}")
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -239,43 +257,80 @@ def pattern_log_likelihood(pattern: MotionPattern, samples, counts) -> np.ndarra
     return total
 
 
-def _kernel_runs(patterns, cap: int):
+class PatternTable:
+    """A model's patterns, stacked once for :func:`log_likelihood_bounds`.
+
+    ``patterns`` is the tuple of patterns. Rows ``offsets[p]:offsets[p + 1]``
+    of ``inputs`` and ``alpha`` (column-contiguous, (n, 2) each) are pattern
+    p's GP inputs and weights, bitwise. ``sizes`` and ``kernels`` are plain
+    lists, one entry per pattern, where equal kernels are one object; and
+    ``log_prior`` (P,) holds the log prior weights. Read-only after
+    construction.
+    """
+
+    __slots__ = ("patterns", "sizes", "kernels", "offsets", "inputs", "alpha", "log_prior")
+
+    def __init__(self, patterns):
+        self.patterns = tuple(patterns)
+        flows = [p.flow for p in self.patterns]
+        self.sizes = [len(f) for f in flows]
+        first = {}
+        self.kernels = [first.setdefault(f.kernel, f.kernel) for f in flows]
+        self.offsets = np.cumsum([0] + self.sizes)
+        # The kernel reads whole columns; column-contiguous copies read each
+        # without a stride and give the same bits. One block, filled in
+        # place: separate copies raised the paper-grid peak RSS by 3 MB.
+        block = np.empty((self.offsets[-1], 4), order="F")
+        for f, lo, hi in zip(flows, self.offsets[:-1], self.offsets[1:]):
+            block[lo:hi, :2] = f.inputs
+            block[lo:hi, 2:] = f._alpha
+        self.inputs, self.alpha = block[:, :2], block[:, 2:]
+        self.log_prior = np.log([p.prior_weight for p in self.patterns])
+
+    def __len__(self) -> int:
+        return len(self.patterns)
+
+
+def _kernel_runs(table: PatternTable, cap: int):
     """(start, stop) runs of consecutive patterns that share a kernel.
 
     Each run has at most ``cap`` inputs in all, or is one pattern.
     """
+    kernels = table.kernels
     start = size = 0
-    for p, pattern in enumerate(patterns):
-        n = len(pattern.flow)
-        if p > start and (pattern.flow.kernel != patterns[start].flow.kernel or size + n > cap):
+    for p, n in enumerate(table.sizes):
+        if p > start and (kernels[p] is not kernels[start] or size + n > cap):
             yield start, p
             start, size = p, 0
         size += n
-    yield start, len(patterns)
+    yield start, len(kernels)
 
 
-def log_likelihood_bounds(patterns, samples, counts) -> np.ndarray:
+def log_likelihood_bounds(table: PatternTable, samples, counts) -> np.ndarray:
     """Upper bounds (P, J) on :func:`pattern_log_likelihood` of each pattern and observation.
 
-    Takes the arguments of :func:`pattern_log_likelihood`, with a list of
-    patterns, and runs no triangular solve; see the module docstring for
-    why the bound holds. Where a residual's square overflows, the bound is
-    ``inf``, so that pair is always scored exactly. Runs of patterns that
-    share a kernel are queried together, in blocks of at most 2**15 kernel
-    entries, or of one pattern where that pattern alone has more.
+    Takes the arguments of :func:`pattern_log_likelihood`, with the
+    :class:`PatternTable` of the patterns in place of one pattern, and runs
+    no triangular solve; see the module docstring for why the bound holds.
+    Where a residual's square overflows, the bound is ``inf``, so that pair
+    is always scored exactly. Runs of patterns that share a kernel are
+    queried together, in blocks of at most 2**15 kernel entries, or of one
+    pattern where that pattern alone has more. Each block reads a row slice
+    of the table, so nothing is stacked per call.
     """
     samples = np.asarray(samples, dtype=float)
     owner = np.repeat(np.arange(len(counts)), counts)
     # Stacked blocks of more than 256 KiB raised the paper-scale peak RSS
     # by 0.6 MB; larger blocks run no faster.
     cap = 2**15 // max(len(samples), 1)
-    terms = np.empty((len(samples), len(patterns)))
-    for start, stop in _kernel_runs(patterns, cap):
-        flows = [p.flow for p in patterns[start:stop]]
-        kernel = flows[0].kernel
-        k = kernel_matrix(kernel, samples[:, :2], np.vstack([f.inputs for f in flows]))
-        edges = np.cumsum([0] + [len(f) for f in flows[:-1]])
-        alpha = np.vstack([f._alpha for f in flows])
+    terms = np.empty((len(samples), len(table)))
+    offsets = table.offsets
+    for start, stop in _kernel_runs(table, cap):
+        kernel = table.kernels[start]
+        rows = slice(offsets[start], offsets[stop])
+        k = kernel_matrix(kernel, samples[:, :2], table.inputs[rows])
+        edges = offsets[start:stop] - offsets[start]
+        alpha = table.alpha[rows]
         mean_x = np.add.reduceat(k * alpha[:, 0], edges, axis=1)
         mean_y = np.add.reduceat(k * alpha[:, 1], edges, axis=1)
         k *= k
@@ -285,8 +340,8 @@ def log_likelihood_bounds(patterns, samples, counts) -> np.ndarray:
         low = np.maximum(signal2 - k_norm2 / noise2, 0.0) + noise2
         var = np.clip(0.5 * resid2, low, signal2 + noise2)
         terms[:, start:stop] = -(_LOG_2PI + np.log(var)) - resid2 / (2.0 * var)
-    log_prior = np.log([p.prior_weight for p in patterns])
-    bound, scale = np.zeros((2, len(counts), len(patterns)))
+    log_prior = table.log_prior
+    bound, scale = np.zeros((2, len(counts), len(table)))
     np.add.at(bound, owner, terms)
     np.add.at(scale, owner, np.abs(terms))
     bound += log_prior

@@ -35,6 +35,7 @@ from .gp import (
     GPModel,
     Kernel,
     MotionPattern,
+    PatternTable,
     log_likelihood_bounds,
     pattern_log_likelihood,
     posterior,
@@ -147,7 +148,12 @@ def _record(cls, doc, what: str):
 
 @dataclass(frozen=True, eq=False)
 class TasnscModel:
-    """Everything needed to predict: frame provenance, primitives, flow fields."""
+    """Everything needed to predict: frame provenance, primitives, flow fields.
+
+    ``table`` is the :class:`~tasnsc.gp.PatternTable` of ``patterns``, built
+    once here, so ``train``, ``load_model`` and ``dataclasses.replace`` each
+    give a model its own, and every prediction reads it.
+    """
 
     frame: CurbsideFrame
     grid: GridSpec
@@ -156,6 +162,7 @@ class TasnscModel:
     patterns: list
     config: PipelineConfig
     final_objective: float
+    table: PatternTable = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.dictionary.k
@@ -185,6 +192,7 @@ class TasnscModel:
                     f"pattern {pat.atoms} has prior weight {pat.prior_weight!r}, "
                     f"its transitions give {want!r}"
                 )
+        object.__setattr__(self, "table", PatternTable(self.patterns))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -327,29 +335,39 @@ def _guard_box(grid: GridSpec) -> tuple:
     return cx - hx, cx + hx, cy - hy, cy + hy
 
 
-def _rollout(patterns: list, which: np.ndarray, start: np.ndarray, dt: float, n_steps: int, box: tuple):
+def _groups(which: np.ndarray, alive: np.ndarray) -> list:
+    """(pattern, live candidates) for each pattern with a live candidate, in order."""
+    return [(u, np.flatnonzero(alive & (which == u))) for u in np.unique(which[alive]).tolist()]
+
+
+def _rollout(patterns, which: np.ndarray, start: np.ndarray, dt: float, n_steps: int, box: tuple):
     """Euler-integrate candidates along their patterns' posterior mean flows, together.
 
     Candidate ``c`` starts at ``start[c]`` on ``patterns[which[c]]``. Each
     step makes one posterior mean query per pattern over its live
-    candidates; a candidate that leaves the box holds its position from
-    then on. Step ``k``'s variance is the flow's at the point the step
-    starts from, found after the loop with one posterior query per pattern
-    over all its live steps; a held step repeats the last one. Returns
-    points (C, n_steps, 2) and step variances (C, n_steps).
+    candidates, in candidate order; a candidate that leaves the box holds
+    its position from then on. The (pattern, candidates) groups are formed
+    once, and again only after a step where a candidate leaves the box.
+    Step ``k``'s variance is the flow's at the point the step starts from,
+    found after the loop with one posterior query per pattern over all its
+    live steps; a held step repeats the last one. Returns points
+    (C, n_steps, 2) and step variances (C, n_steps).
     """
     p = np.array(start, dtype=float)
     points = np.empty((len(p), n_steps, 2))
     starts = np.empty_like(points)
     live = np.empty((len(p), n_steps), dtype=bool)
     alive = np.ones(len(p), dtype=bool)
+    n_alive = len(p)
+    groups = _groups(which, alive)
     for k in range(n_steps):
         starts[:, k] = p
         live[:, k] = alive
-        for u in np.unique(which[alive]):
-            sel = np.flatnonzero(alive & (which == u))
+        for u, sel in groups:
             p[sel] += dt * posterior_mean(patterns[u].flow, p[sel])
         alive &= (box[0] <= p[:, 0]) & (p[:, 0] <= box[1]) & (box[2] <= p[:, 1]) & (p[:, 1] <= box[3])
+        if (still := np.count_nonzero(alive)) < n_alive:
+            n_alive, groups = still, _groups(which, alive)
         points[:, k] = p
 
     step_var = np.empty(live.shape)
@@ -363,7 +381,7 @@ def _rollout(patterns: list, which: np.ndarray, start: np.ndarray, dt: float, n_
     return points, np.take_along_axis(step_var, held, axis=1)
 
 
-def _top_patterns(patterns: list, samples: np.ndarray, counts: np.ndarray, top_m: int) -> tuple:
+def _top_patterns(table: PatternTable, samples: np.ndarray, counts: np.ndarray, top_m: int) -> tuple:
     """Each observation's top M patterns by log-likelihood and their scores, both (M, J).
 
     The order is that of a stable sort of every pattern's exact score, and
@@ -373,8 +391,10 @@ def _top_patterns(patterns: list, samples: np.ndarray, counts: np.ndarray, top_m
     :func:`~tasnsc.gp.log_likelihood_bounds`, whose M-th best exact score,
     tau, is at most the true M-th best; round 2 scores the pairs whose bound
     reaches tau. Every other pattern scores strictly below the top M.
+    ``table`` is the model's :class:`~tasnsc.gp.PatternTable`; the exact
+    scores read each pattern's own flow.
     """
-    bounds = log_likelihood_bounds(patterns, samples, counts)
+    bounds = log_likelihood_bounds(table, samples, counts)
     m = min(top_m, len(bounds))
     loglik = np.full(bounds.shape, -np.inf)
     todo, scored = np.zeros((2,) + bounds.shape, dtype=bool)
@@ -382,7 +402,7 @@ def _top_patterns(patterns: list, samples: np.ndarray, counts: np.ndarray, top_m
     for _ in range(2):
         for p in np.flatnonzero(todo.any(axis=1)):
             obs = todo[p]
-            loglik[p, obs] = pattern_log_likelihood(patterns[p], samples[np.repeat(obs, counts)], counts[obs])
+            loglik[p, obs] = pattern_log_likelihood(table.patterns[p], samples[np.repeat(obs, counts)], counts[obs])
         scored |= todo
         todo = (bounds >= np.sort(loglik, axis=0)[-m]) & ~scored
     order = np.argsort(-loglik, axis=0, kind="stable")[:m]
@@ -403,10 +423,12 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     back into the test intersection's local frame; candidate likelihoods
     are the softmax of the pattern log-likelihoods. Each observation's set
     is the one it would get alone, within 1e-12. The batch shares the GP
-    work: one bound pass over all patterns, then one exact scoring query per
-    pattern over the observations it can still place for (see
-    :func:`_top_patterns`), one rollout mean query per pattern and step, and
-    one variance solve per rolled-out pattern. Raises
+    work: one bound pass over the model's pattern table, which the model
+    built once, then one exact scoring query per pattern over the
+    observations it can still place for (see :func:`_top_patterns`), one
+    rollout mean query per pattern and step over (pattern, candidates)
+    groups formed once per rollout, and one variance solve per rolled-out
+    pattern. Raises
     :class:`~tasnsc.trajectory.TrajectoryError` naming the first observation
     whose curbside samples are not finite or square past the largest float,
     or whose likelihood underflows to zero under every pattern.
@@ -435,7 +457,8 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
         )
     counts = np.diff(rows)
 
-    order, scores = _top_patterns(model.patterns, stacked, counts, cfg.top_m)
+    table = model.table
+    order, scores = _top_patterns(table, stacked, counts, cfg.top_m)
     unlikely = ~np.isfinite(scores[0])
     if unlikely.any():
         raise TrajectoryError(
@@ -449,7 +472,7 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     m = len(order)
     which = order.T.ravel()
     start = np.repeat(xy[offsets[1:] - 1], m, axis=0)
-    points, variances = _rollout(model.patterns, which, start, cfg.dt, n_steps, _guard_box(model.grid))
+    points, variances = _rollout(table.patterns, which, start, cfg.dt, n_steps, _guard_box(model.grid))
 
     psets = []
     for j, observed in enumerate(observations):
@@ -458,7 +481,7 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
         candidates = []
         for r in range(m):
             c = j * m + r
-            pattern = model.patterns[which[c]]
+            pattern = table.patterns[which[c]]
             traj = Trajectory(
                 id=f"{observed.id}#pattern-{pattern.atoms[0]}-{pattern.atoms[1]}",
                 dt=cfg.dt,
@@ -535,7 +558,10 @@ def _pattern(rec) -> MotionPattern:
     if vx.ndim != 1 or vx.shape != vy.shape:
         raise ValueError(f"pattern {atoms} has vx of shape {vx.shape} and vy of shape {vy.shape}")
     kernel = _record(Kernel, rec["kernel"], "pattern kernel")
-    flow = GPModel(np.asarray(rec["inputs"], dtype=float), np.column_stack((vx, vy)), kernel)
+    try:
+        flow = GPModel(np.asarray(rec["inputs"], dtype=float), np.column_stack((vx, vy)), kernel)
+    except ValueError as exc:
+        raise type(exc)(f"pattern {atoms}: {exc}") from exc
     return MotionPattern(atoms=atoms, flow=flow, prior_weight=float(rec["prior_weight"]))
 
 

@@ -338,6 +338,9 @@ class TestEvaluate:
             # Finite, but the norm's sum of squares overflows.
             (lambda doc: doc["dictionary"]["atoms"][0].__setitem__(0, 1e308), "an atom whose norm overflows"),
             (lambda doc: doc["frame"]["curb1"].__setitem__(0, 1e308), "curb direction has near-zero or non-finite length"),
+            # Finite, but the scoring's kernel squares and posterior means would overflow.
+            (lambda doc: doc["patterns"][0]["inputs"][0].__setitem__(0, 1e308), "GP inputs must lie within"),
+            (lambda doc: doc["patterns"][0]["vx"].__setitem__(0, 1e308), "GP weights too large"),
             # round(0.25 / 0.5) is 0: Python rounds half to even.
             (lambda doc: doc["config"].update(t_pred=0.25),
              "t_pred must be at least one step of dt, got 0.25 / 0.5"),
@@ -347,7 +350,7 @@ class TestEvaluate:
              "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight",
              "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow",
              "grid-cells-overflow", "grid-features-overflow", "atom-norm-overflow", "curb-norm-overflow",
-             "zero-step-horizon"],
+             "pattern-input-overflow", "pattern-weight-overflow", "zero-step-horizon"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())

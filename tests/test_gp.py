@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tasnsc.gp import (
     GPModel,
     Kernel,
     MotionPattern,
+    PatternTable,
     fit,
     kernel_matrix,
     log_likelihood_bounds,
@@ -442,7 +444,7 @@ class TestLogLikelihoodBounds:
     @given(case=random_patterns())
     def test_bounds_every_exact_score(self, case):
         patterns, samples, counts = case
-        bounds = log_likelihood_bounds(patterns, samples, counts)
+        bounds = log_likelihood_bounds(PatternTable(patterns), samples, counts)
         assert bounds.shape == (len(patterns), len(counts))
         for pattern, bound in zip(patterns, bounds):
             assert np.all(bound >= pattern_log_likelihood(pattern, samples, counts))
@@ -455,7 +457,7 @@ class TestLogLikelihoodBounds:
         pat = MotionPattern(atoms=(0, 0), flow=flow, prior_weight=0.5)
         samples = np.array([[-17.739641748334012, -1.3799791139092763, 1.2978425747991162, 4.1182284532493405]])
         exact = pattern_log_likelihood(pat, samples, [1])
-        assert log_likelihood_bounds([pat], samples, [1])[0] >= exact
+        assert log_likelihood_bounds(PatternTable([pat]), samples, [1])[0] >= exact
 
     def test_exact_up_to_margin_far_from_the_inputs(self):
         # k* is 0 there, so the variance interval is one point and the
@@ -463,7 +465,7 @@ class TestLogLikelihoodBounds:
         pat = make_pattern(lambda p: (np.sin(p[:, 1]), 0.5 * p[:, 0]), prior=0.3)
         samples = np.array([[1e3, 0.0, 0.4, -0.2], [1e3, 5.0, 1.1, 0.3], [-2e3, 1e3, 0.0, 2.0]])
         exact = pattern_log_likelihood(pat, samples, [2, 1])
-        bound = log_likelihood_bounds([pat], samples, [2, 1])[0]
+        bound = log_likelihood_bounds(PatternTable([pat]), samples, [2, 1])[0]
         assert np.all(exact <= bound) and np.all(bound <= exact + 1e-8 * (1.0 + np.abs(exact)))
 
     def test_blocks_equal_each_pattern_alone(self):
@@ -477,11 +479,12 @@ class TestLogLikelihoodBounds:
         ]
         samples = rng.uniform(-3, 3, (6, 4))
         counts = [2, 0, 4]
-        alone = np.vstack([log_likelihood_bounds([p], samples, counts) for p in patterns])
-        together = log_likelihood_bounds(patterns, samples, counts)
+        table = PatternTable(patterns)
+        alone = np.vstack([log_likelihood_bounds(PatternTable([p]), samples, counts) for p in patterns])
+        together = log_likelihood_bounds(table, samples, counts)
         assert np.allclose(together, alone, rtol=1e-13, atol=0.0)
-        assert list(gp_module._kernel_runs(patterns, 14)) == [(0, 2), (2, 3), (3, 4), (4, 6)]
-        assert list(gp_module._kernel_runs(patterns, 9)) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+        assert list(gp_module._kernel_runs(table, 14)) == [(0, 2), (2, 3), (3, 4), (4, 6)]
+        assert list(gp_module._kernel_runs(table, 9)) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
 
     def test_block_size_capped(self, monkeypatch):
         # A stacked kernel query has at most 2**15 entries; only a pattern
@@ -503,12 +506,70 @@ class TestLogLikelihoodBounds:
         monkeypatch.setattr(gp_module, "kernel_matrix", recording)
         for n_samples, want in ((4, [1045]), (100, [300, 120, 310, 315]), (400, [300, 120, 250, 60, 300, 15])):
             widths.clear()
-            log_likelihood_bounds(patterns, rng.uniform(-9, 9, (n_samples, 4)), [n_samples])
+            log_likelihood_bounds(PatternTable(patterns), rng.uniform(-9, 9, (n_samples, 4)), [n_samples])
             assert widths == want
 
     def test_overflowing_residual_bound_is_inf(self):
         pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
         samples = np.array([[0.0, 0.0, 1e200, 0.0], [0.0, 0.0, 1.0, 0.0]])
         with np.errstate(over="ignore"):
-            bounds = log_likelihood_bounds([pat], samples, [1, 1])
+            bounds = log_likelihood_bounds(PatternTable([pat]), samples, [1, 1])
         assert bounds[0, 0] == np.inf and np.isfinite(bounds[0, 1])
+
+
+class TestPatternTable:
+    def test_rows_are_each_patterns_inputs_and_weights(self):
+        rng = np.random.default_rng(14)
+        kernels = [Kernel(1.0, 2.0, 1.0, 0.3), Kernel(2.0, 1.0, 0.8, 0.2), Kernel(1.0, 2.0, 1.0, 0.3)]
+        patterns = [
+            MotionPattern(atoms=(p, p), flow=GPModel(rng.uniform(-3, 3, (n, 2)), rng.normal(0, 1, (n, 2)), kernel),
+                          prior_weight=w)
+            for p, (n, kernel, w) in enumerate(zip((5, 1, 9), kernels, (0.5, 0.3, 0.2)))
+        ]
+        table = PatternTable(patterns)
+        assert table.patterns == tuple(patterns) and len(table) == 3
+        assert table.sizes == [5, 1, 9] and list(table.offsets) == [0, 5, 6, 15]
+        assert table.inputs.flags.f_contiguous and table.alpha.flags.f_contiguous
+        for p, pat in enumerate(patterns):
+            rows = slice(table.offsets[p], table.offsets[p + 1])
+            assert table.inputs[rows].tobytes() == pat.flow.inputs.tobytes()
+            assert table.alpha[rows].tobytes() == pat.flow._alpha.tobytes()
+            assert table.kernels[p] == pat.flow.kernel
+            assert table.log_prior[p] == np.log(pat.prior_weight)
+        # Equal kernels are one object, so runs of them compare by identity.
+        assert table.kernels[0] is table.kernels[2] and table.kernels[0] is not table.kernels[1]
+
+    def test_empty(self):
+        table = PatternTable([])
+        assert len(table) == 0 and table.inputs.shape == (0, 2) and table.alpha.shape == (0, 2)
+
+
+class TestFitReach:
+    """A fit's own values cannot overflow the kernel or a posterior mean."""
+
+    def test_input_beyond_reach_rejected(self):
+        # The reach is a quarter of _MAX_ROOT times the shorter length scale.
+        kernel = Kernel(length_x=2.0, length_y=1e-3)
+        reach = 1e-3 * gp_module._MAX_ROOT / 4
+        GPModel([[reach, -reach]], [[1.0, 0.0]], kernel)
+        for point in ([1.01 * reach, 0.0], [0.0, -1.01 * reach], [-1e308, 0.0]):
+            with pytest.raises(ValueError, match="GP inputs must lie within"):
+                GPModel([point], [[1.0, 0.0]], kernel)
+
+    @pytest.mark.parametrize("target", [1e308, -1e160])
+    def test_weights_beyond_reach_rejected(self, target):
+        with pytest.raises(ValueError, match="GP weights too large"):
+            GPModel([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [target, 0.0]], Kernel())
+
+    def test_zero_weights_at_the_largest_signal_accepted(self):
+        kernel = Kernel(signal_sd=gp_module._MAX_ROOT, noise_sd=1.0)
+        GPModel([[0.0, 0.0], [3.0, 0.0]], np.zeros((2, 2)), kernel)
+
+    def test_means_stay_finite_at_the_limit(self):
+        # Targets as large as the check allows, queried far and near.
+        kernel = Kernel(signal_sd=1.0, noise_sd=1.0)
+        flow = GPModel([[0.0, 0.0]], [[0.49 * gp_module._MAX_ROOT, 0.0]], kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = posterior_mean(flow, np.array([[0.0, 0.0], [1e150, -1e150]]))
+        assert np.all(np.isfinite(mean))

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasnsc import predictor
-from tasnsc.geometry import frame_from_curbs, identity_frame, to_curbside, transform_trajectory
-from tasnsc.gp import Kernel, fit, pattern_log_likelihood, posterior
+from tasnsc.geometry import frame_from_curbs, from_curbside, identity_frame, to_curbside, transform_trajectory
+from tasnsc.gp import Kernel, PatternTable, fit, pattern_log_likelihood, posterior
 from tasnsc.predictor import (
     PipelineConfig,
     PipelineError,
@@ -285,8 +285,8 @@ class TestStackedFrontEnd:
         ) as score:
             predict_many(model_a, frame, obs)
         samples = [velocities(transform_trajectory(frame, o)) for o in obs]
-        patterns, rows, counts = bound.call_args.args
-        assert patterns is model_a.patterns
+        table, rows, counts = bound.call_args.args
+        assert table is model_a.table
         assert rows.tobytes() == np.vstack(samples).tobytes()
         assert list(counts) == [len(v) for v in samples]
         # Each exact scoring gets the rows of the observations it scores, in order.
@@ -557,8 +557,25 @@ class TestPredictMany:
 
     @pytest.mark.parametrize("small_box", [False, True])
     def test_matches_per_step_rollout(self, model_a, small_a, small_b, small_box, monkeypatch):
-        # Model A on its own scene and across to scene B.
         model = with_small_guard_box(model_a) if small_box else model_a
+        # A batch on few patterns, with the small box: candidates share a
+        # pattern and leave the box at different steps, so the rollout forms
+        # its (pattern, candidates) groups again mid-rollout.
+        rng = np.random.default_rng(3)
+        which = rng.integers(0, 3, 24)
+        g = model_a.grid
+        start = rng.uniform((g.x_min, g.y_min), (g.x_max, g.y_max), (24, 2))
+        args = (model.table.patterns, which, start, 0.5, 10, predictor._guard_box(model.grid))
+        with mock.patch.object(predictor, "_groups", wraps=predictor._groups) as groups:
+            points, variances = predictor._rollout(*args)
+        want_points, want_variances = per_step_rollout(*args)
+        assert points.tobytes() == want_points.tobytes()
+        assert np.max(np.abs(variances - want_variances)) <= 1e-12
+        if small_box:
+            exits = [held_from(xy) for xy in points]
+            shared = [u for u in range(3) if len({exits[c] for c in np.flatnonzero(which == u)}) > 1]
+            assert shared and groups.call_count > 1
+        # Model A on its own scene and across to scene B.
         cases = [(data["frame"], observations(data["test"])) for data in (small_a, small_b)]
         got = [ps for frame, obs in cases for ps in predict_many(model, frame, obs)]
         monkeypatch.setattr(predictor, "_rollout", per_step_rollout)
@@ -627,7 +644,7 @@ class TestTopPatterns:
     def test_single_observation_bitwise_exhaustive(self, ranking_cases, top_m):
         for model, rows in ranking_cases:
             for v in rows:
-                order, scores = predictor._top_patterns(model.patterns, v, np.array([len(v)]), top_m)
+                order, scores = predictor._top_patterns(model.table, v, np.array([len(v)]), top_m)
                 want_order, want_scores = exhaustive_top_patterns(model.patterns, v, [len(v)], top_m)
                 assert np.array_equal(order, want_order)
                 assert scores.tobytes() == want_scores.tobytes()
@@ -636,7 +653,7 @@ class TestTopPatterns:
     def test_batch_matches_exhaustive(self, ranking_cases, top_m):
         for model, rows in ranking_cases:
             counts = np.array([len(v) for v in rows])
-            order, scores = predictor._top_patterns(model.patterns, np.vstack(rows), counts, top_m)
+            order, scores = predictor._top_patterns(model.table, np.vstack(rows), counts, top_m)
             want_order, want_scores = exhaustive_top_patterns(model.patterns, np.vstack(rows), counts, top_m)
             assert np.array_equal(order, want_order)
             assert np.all(np.abs(scores - want_scores) <= 1e-12 * np.maximum(1.0, np.abs(want_scores)))
@@ -645,7 +662,7 @@ class TestTopPatterns:
         obs = observations(small_a["test"])
         rows = scoring_rows(small_a["frame"], obs)
         for patterns in (model_a.patterns[:1], model_a.patterns[:2]):
-            order, scores = predictor._top_patterns(patterns, rows[0], np.array([len(rows[0])]), 3)
+            order, scores = predictor._top_patterns(PatternTable(patterns), rows[0], np.array([len(rows[0])]), 3)
             want_order, want_scores = exhaustive_top_patterns(patterns, rows[0], [len(rows[0])], 3)
             assert order.shape == (len(patterns), 1) and np.array_equal(order, want_order)
             assert scores.tobytes() == want_scores.tobytes()
@@ -696,21 +713,86 @@ class TestTopPatterns:
                 predict_many(model_a, small_a["frame"], obs)
 
 
-def moved_predictions(model, data, phi, shift):
-    """Predictions for ``data``'s test observations, as given and moved rigidly with their frame.
+class TestModelTable:
+    """Each model builds its pattern table once, and every prediction reads it."""
 
-    The motion is a rotation by ``phi`` then a translation by ``shift``;
-    returns both prediction lists and the motion as a map of points.
+    def test_one_table_across_predicts(self, model_a, small_a):
+        table = model_a.table
+        obs = observations(small_a["test"])
+        with mock.patch.object(predictor, "log_likelihood_bounds", wraps=predictor.log_likelihood_bounds) as bound:
+            predict_many(model_a, small_a["frame"], obs[:3])
+            predict(model_a, small_a["frame"], obs[4])
+        assert [call.args[0] for call in bound.call_args_list] == [table, table]
+        assert model_a.table is table and table.patterns == tuple(model_a.patterns)
+
+    def test_load_and_replace_build_new_tables(self, model_a, tmp_path):
+        save_model(model_a, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        assert loaded.table is not model_a.table and loaded.table.patterns == tuple(loaded.patterns)
+        for name in ("inputs", "alpha", "offsets", "log_prior"):
+            assert getattr(loaded.table, name).tobytes() == getattr(model_a.table, name).tobytes()
+        fewer = dataclasses.replace(model_a, patterns=model_a.patterns[:3])
+        assert fewer.table is not model_a.table and fewer.table.patterns == tuple(model_a.patterns[:3])
+        assert fewer.table.inputs.tobytes() == model_a.table.inputs[: model_a.table.offsets[3]].tobytes()
+
+    def test_loaded_mixed_kernels_rank_exhaustively(self, model_a, small_a, small_b, tmp_path):
+        # Every third pattern gets another kernel, so the bound pass runs
+        # over many short runs of one kernel.
+        def edit(doc):
+            for rec in doc["patterns"][::3]:
+                rec["kernel"] = {"length_x": 1.5, "length_y": 2.5, "signal_sd": 0.9, "noise_sd": 0.35}
+
+        model = load_model(edited_model_file(model_a, tmp_path, edit))
+        assert len({id(k) for k in model.table.kernels}) == 2
+        for data in (small_a, small_b):
+            rows = scoring_rows(data["frame"], observations(data["test"]))
+            for v in rows:
+                order, scores = predictor._top_patterns(model.table, v, np.array([len(v)]), 3)
+                want_order, want_scores = exhaustive_top_patterns(model.patterns, v, [len(v)], 3)
+                assert np.array_equal(order, want_order)
+                assert scores.tobytes() == want_scores.tobytes()
+            counts = np.array([len(v) for v in rows])
+            order, _ = predictor._top_patterns(model.table, np.vstack(rows), counts, 3)
+            want_order, _ = exhaustive_top_patterns(model.patterns, np.vstack(rows), counts, 3)
+            assert np.array_equal(order, want_order)
+
+
+def mapped_predictions(model, data, target):
+    """Predictions for ``data``'s test observations, as given and mapped into the frame ``target``.
+
+    The map is M = ``from_curbside(target) ∘ to_curbside(frame)``, which
+    takes the test frame onto ``target``: a rigid motion when ``target`` is
+    the frame moved rigidly, an affine map with skew otherwise. Returns both
+    prediction lists and M as a map of points.
     """
-    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    frame, obs = data["frame"], observations(data["test"])
 
     def move(xy):
-        return xy @ rot.T + shift
+        return from_curbside(target, to_curbside(frame, xy))
 
-    frame, obs = data["frame"], observations(data["test"])
-    moved_frame = frame_from_curbs(move(frame.origin), rot @ frame.e1, rot @ frame.e2)
     moved_obs = [Trajectory(id=o.id, dt=o.dt, times=o.times, xy=move(o.xy)) for o in obs]
-    return predict_many(model, frame, obs), predict_many(model, moved_frame, moved_obs), move
+    return predict_many(model, frame, obs), predict_many(model, target, moved_obs), move
+
+
+def frame_at(origin, heading, alpha):
+    """A frame at ``origin`` whose first curb points along ``heading`` and whose curbs meet at ``alpha``."""
+    return frame_from_curbs(origin, (math.cos(heading), math.sin(heading)),
+                            (math.cos(heading + alpha), math.sin(heading + alpha)))
+
+
+def assert_predictions_follow(base, moved, move_points):
+    for a_set, b_set in zip(base, moved, strict=True):
+        for a, b in zip(a_set.candidates, b_set.candidates, strict=True):
+            assert b.atoms == a.atoms
+            assert abs(b.likelihood - a.likelihood) <= 1e-9
+            assert np.array_equal(b.trajectory.times, a.trajectory.times)
+            assert np.max(np.abs(b.trajectory.xy - move_points(a.trajectory.xy))) <= 1e-9
+
+
+def assert_some_pattern_changes(base, moved):
+    assert any(
+        [c.atoms for c in a.candidates] != [c.atoms for c in b.candidates] for a, b in zip(base, moved)
+    )
 
 
 class TestRigidMotionProperty:
@@ -723,23 +805,54 @@ class TestRigidMotionProperty:
         heading=st.floats(-math.pi, math.pi),
     )
     def test_tasnsc_predictions_move_with_the_scene(self, model_a, small_b, phi, radius, heading):
+        frame = small_b["frame"]
         shift = radius * np.array([math.cos(heading), math.sin(heading)])
-        base, moved, move_points = moved_predictions(model_a, small_b, phi, shift)
-        for a_set, b_set in zip(base, moved, strict=True):
-            for a, b in zip(a_set.candidates, b_set.candidates, strict=True):
-                assert b.atoms == a.atoms
-                assert abs(b.likelihood - a.likelihood) <= 1e-9
-                assert np.array_equal(b.trajectory.times, a.trajectory.times)
-                assert np.max(np.abs(b.trajectory.xy - move_points(a.trajectory.xy))) <= 1e-9
+        rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        moved_frame = frame_from_curbs(rot @ frame.origin + shift, rot @ frame.e1, rot @ frame.e2)
+        assert_predictions_follow(*mapped_predictions(model_a, small_b, moved_frame))
 
-    def test_baseline_predictions_do_not(self, small_a, small_b):
+    def test_baseline_predictions_do_not(self, baseline_a, small_b):
         # The baseline learns in the identity frame, so a moved scene lands
         # on other cells of its grid and picks other patterns.
-        baseline = train(small_a["train"], small_a["frame"], PipelineConfig(mode="baseline"))
-        base, moved, _ = moved_predictions(baseline, small_b, 0.6, np.array([4.0, -7.0]))
-        assert any(
-            [c.atoms for c in a.candidates] != [c.atoms for c in b.candidates] for a, b in zip(base, moved)
-        )
+        frame = small_b["frame"]
+        rot = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
+        moved_frame = frame_from_curbs(rot @ frame.origin + (4.0, -7.0), rot @ frame.e1, rot @ frame.e2)
+        base, moved, _ = mapped_predictions(baseline_a, small_b, moved_frame)
+        assert_some_pattern_changes(base, moved)
+
+
+class TestSkewedFrameProperty:
+    """The paper's transfer claim: any curb angle, not only rigid motion.
+
+    Mapping a test scene by M = ``from_curbside(G) ∘ to_curbside(F)`` onto a
+    frame G of any curb angle maps every TASNSC prediction by M: the
+    curbside components, and so the patterns, are the same.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(math.radians(5.0), math.radians(175.0)),
+        heading=st.floats(-math.pi, math.pi),
+        radius=st.floats(0.0, 50.0),
+        bearing=st.floats(-math.pi, math.pi),
+    )
+    def test_tasnsc_predictions_follow_a_skewed_frame(self, model_a, small_b, alpha, heading, radius, bearing):
+        target = frame_at(radius * np.array([math.cos(bearing), math.sin(bearing)]), heading, alpha)
+        assert_predictions_follow(*mapped_predictions(model_a, small_b, target))
+
+    def test_baseline_predictions_change_under_a_skew(self, baseline_a, small_b):
+        # The same corner and curb direction, with a curb angle of 40
+        # degrees in place of scene B's: a pure skew about the corner.
+        frame = small_b["frame"]
+        heading = math.atan2(frame.e1[1], frame.e1[0])
+        target = frame_at(frame.origin, heading, math.radians(40.0))
+        base, moved, _ = mapped_predictions(baseline_a, small_b, target)
+        assert_some_pattern_changes(base, moved)
+
+
+@pytest.fixture(scope="module")
+def baseline_a(small_a):
+    return train(small_a["train"], small_a["frame"], PipelineConfig(mode="baseline"))
 
 
 def edited_model_file(model, tmp_path, edit):
@@ -765,6 +878,19 @@ class TestModelChecks:
 
         with pytest.raises(ValueError, match=rf"atom outside \[0, {k}\)"):
             load_model(edited_model_file(model_a, tmp_path, edit))
+
+    @pytest.mark.parametrize("key, message", [("inputs", "GP inputs must lie within"), ("vx", "GP weights too large")])
+    def test_pattern_values_out_of_reach_name_the_pattern(self, model_a, tmp_path, key, message):
+        atoms = model_a.patterns[1].atoms
+
+        def edit(doc):
+            rec = doc["patterns"][1]
+            rec[key][0] = [1e308, 0.0] if key == "inputs" else 1e308
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"pattern {atoms}: {message}")):
+                load_model(edited_model_file(model_a, tmp_path, edit))
 
     def test_transitions_not_square(self, model_a, tmp_path):
         def edit(doc):
