@@ -29,11 +29,12 @@ def main():
     back = from_curbside(frame, comps)
     print(f"round trip error: {np.max(np.abs(back - p)):.2e} m")
 
-    # The same map as an explicit affine matrix, from the same basis solve.
+    # The same map as an explicit affine matrix: the same coefficients,
+    # evaluated the same way, so the bits agree exactly.
     T = curbside_transform(frame)
     print(f"\naffine map linear part:\n{T.linear.round(4)}")
     print(f"translation: {T.translation.round(4)}")
-    print(f"matrix path agrees: {np.allclose(T.apply(p), comps)}")
+    print(f"matrix path agrees exactly: {np.array_equal(T.apply(p), comps)}")
 
     # Affine maps preserve midpoints and parallelism; that is what lets
     # motion learned at one corner angle transfer to another.

@@ -17,6 +17,8 @@ followed by the constant shear/scale matrix
 which collapses to the identity when the curbs are orthogonal. Affinity is
 what makes motion primitives learned at one intersection reusable at
 another: collinearity, parallelism and distance ratios survive the map.
+Every conversion evaluates its closed form row by row, so a point maps to
+the same bits alone as in any batch.
 """
 
 import json
@@ -101,23 +103,40 @@ class AffineMap2D:
     translation: np.ndarray
 
     def __post_init__(self):
-        lin = np.asarray(self.linear, dtype=float)
-        tr = np.asarray(self.translation, dtype=float)
+        lin, tr = np.array(self.linear, dtype=float), np.array(self.translation, dtype=float)
         if lin.shape != (2, 2) or tr.shape != (2,):
             raise ValueError("linear must be 2x2 and translation length 2")
         if abs(np.linalg.det(lin)) <= 1e-12:
             raise ValueError("affine map is not invertible")
-        lin = lin.copy()
-        tr = tr.copy()
-        lin.setflags(write=False)
-        tr.setflags(write=False)
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "translation", tr)
+        for name, value in (("linear", lin), ("translation", tr)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def apply(self, points) -> np.ndarray:
         """Apply to one point (2,) or a batch (n, 2)."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.linear.T + self.translation
+        return _affine(self.linear, self.translation, points)
+
+
+def _affine(linear, translation, p) -> np.ndarray:
+    """``linear @ q + translation`` for each point ``q`` along the last axis of ``p``.
+
+    Two products and two sums per output coordinate, each one ufunc over the batch, so a row
+    gets the same bits in any batch. Overflow gives inf or NaN unwarned; callers check for it.
+    """
+    pts = np.asarray(p, dtype=float)
+    if pts.shape[-1:] != (2,):
+        raise ValueError(f"expected 2-D points along the last axis, got shape {pts.shape}")
+    x, y = pts[..., 0], pts[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([a * x + b * y + t for (a, b), t in zip(linear, translation)], axis=-1)
+
+
+def _curbside_coefficients(frame) -> tuple:
+    """``(linear, translation)`` of :func:`to_curbside`: the curb basis inverted by Cramer's rule."""
+    (a, c), (b, d), (ox, oy) = frame.e1.tolist(), frame.e2.tolist(), frame.origin.tolist()
+    det = a * d - b * c
+    linear = ((d / det, -b / det), (-c / det, a / det))
+    return linear, tuple(-(u * ox + v * oy) for u, v in linear)
 
 
 def frame_from_curbs(origin, dir1, dir2) -> CurbsideFrame:
@@ -146,30 +165,26 @@ def identity_frame() -> CurbsideFrame:
 def curbside_transform(frame: CurbsideFrame) -> AffineMap2D:
     """The full affine map from local coordinates to contravariant components.
 
-    It is the basis solve of :func:`to_curbside` written as a matrix: the
-    linear part is the inverse of the curb basis, and the translation is
-    the contravariant image of the local origin. Geometrically, that is the
-    rigid motion and skew matrix of the module docstring, composed.
+    It holds the coefficients of :func:`to_curbside`, whose bits ``apply`` gives: the inverse
+    of the curb basis and the contravariant image of the local origin. Geometrically, that is
+    the rigid motion and skew matrix of the module docstring, composed.
     """
-    return AffineMap2D(np.linalg.solve(frame.basis, np.eye(2)), to_curbside(frame, np.zeros(2)))
+    return AffineMap2D(*_curbside_coefficients(frame))
 
 
 def to_curbside(frame: CurbsideFrame, p) -> np.ndarray:
     """Contravariant components of point(s) ``p`` in the curbside frame.
 
     Returns ``(x', y')`` with ``x'*e1 + y'*e2 = p - origin``. Accepts a
-    single point (2,) or a batch (n, 2). Computed by solving the 2x2
-    linear system in the curb basis, which is valid for every quadrant.
+    single point (2,) or a batch (n, 2). The curb basis is inverted in
+    closed form, which is valid for every quadrant.
     """
-    pts = np.asarray(p, dtype=float)
-    disp = pts - frame.origin
-    return np.linalg.solve(frame.basis, disp.T).T
+    return _affine(*_curbside_coefficients(frame), p)
 
 
 def from_curbside(frame: CurbsideFrame, p) -> np.ndarray:
-    """Inverse of :func:`to_curbside`: contravariant components to local point(s)."""
-    comps = np.asarray(p, dtype=float)
-    return comps @ frame.basis.T + frame.origin
+    """Inverse of :func:`to_curbside`: contravariant components to local point(s), along the last axis of ``p``."""
+    return _affine(frame.basis, frame.origin, p)
 
 
 def curbside_stack(frame: CurbsideFrame, trajectories) -> tuple[np.ndarray, np.ndarray]:
@@ -183,10 +198,6 @@ def curbside_stack(frame: CurbsideFrame, trajectories) -> tuple[np.ndarray, np.n
     """
     offsets = np.concatenate(([0], np.cumsum([len(t) for t in trajectories])))
     xy = to_curbside(frame, np.vstack([t.xy for t in trajectories]))
-    for t in np.flatnonzero(np.diff(offsets) == 1):
-        # LAPACK solves a lone column on another path, which can round
-        # differently; a one-point trajectory is mapped alone.
-        xy[offsets[t]] = to_curbside(frame, trajectories[t].xy)
     finite = np.isfinite(xy).all(axis=1)
     if not finite.all():
         bad = trajectories[np.searchsorted(offsets, np.argmin(finite), side="right") - 1]

@@ -255,15 +255,9 @@ def _transition_blocks(vel: np.ndarray, segments: list) -> list:
 
     ``vel`` holds the trajectory's (x, y, vx, vy) samples, one per point but the last.
     """
-    if len(segments) == 1:
-        s = segments[0]
-        return [(s.atom, s.atom, vel[s.start : min(s.stop, len(vel))])]
-    blocks = []
-    for a, b in zip(segments[:-1], segments[1:]):
-        block = vel[a.start : min(b.stop, len(vel))]
-        if len(block):
-            blocks.append((a.atom, b.atom, block))
-    return blocks
+    pairs = list(zip(segments, segments[1:])) or [(segments[0], segments[0])]
+    # A pair's first segment starts before the trajectory's last point, so every block has a row.
+    return [(a.atom, b.atom, vel[a.start : min(b.stop, len(vel))]) for a, b in pairs]
 
 
 def _subsample(samples: np.ndarray, cap: int) -> np.ndarray:
@@ -473,6 +467,7 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     which = order.T.ravel()
     start = np.repeat(xy[offsets[1:] - 1], m, axis=0)
     points, variances = _rollout(table.patterns, which, start, cfg.dt, n_steps, _guard_box(model.grid))
+    back = from_curbside(eff, points)
 
     psets = []
     for j, observed in enumerate(observations):
@@ -481,21 +476,9 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
         candidates = []
         for r in range(m):
             c = j * m + r
-            pattern = table.patterns[which[c]]
-            traj = Trajectory(
-                id=f"{observed.id}#pattern-{pattern.atoms[0]}-{pattern.atoms[1]}",
-                dt=cfg.dt,
-                times=times,
-                xy=from_curbside(eff, points[c]),
-            )
-            candidates.append(
-                PredictedCandidate(
-                    trajectory=traj,
-                    likelihood=float(weights[r, j]),
-                    atoms=pattern.atoms,
-                    step_variance=variances[c],
-                )
-            )
+            atoms = table.patterns[which[c]].atoms
+            traj = Trajectory(id=f"{observed.id}#pattern-{atoms[0]}-{atoms[1]}", dt=cfg.dt, times=times, xy=back[c])
+            candidates.append(PredictedCandidate(traj, float(weights[r, j]), atoms, variances[c]))
         psets.append(PredictionSet(candidates=candidates))
     return psets
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gp import _MAX_ROOT
+
 __all__ = [
     "TrajectoryError",
     "Trajectory",
@@ -162,7 +164,7 @@ def split_horizon(traj: Trajectory, t_obs: float, t_pred: float) -> tuple[Trajec
 
 
 def load_dataset(path, tag: str = "train") -> Dataset:
-    """Read a JSON-lines dataset file."""
+    """Read a JSON-lines dataset file; a coordinate may not exceed ``sqrt(float max) / 4`` in magnitude."""
     trajectories = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -171,9 +173,13 @@ def load_dataset(path, tag: str = "train") -> Dataset:
                 continue
             try:
                 rec = json.loads(line)
-                trajectories.append(Trajectory.from_points(rec["id"], rec["dt"], rec["points"]))
+                traj = Trajectory.from_points(rec["id"], rec["dt"], rec["points"])
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad trajectory record: {exc}") from exc
+            # Below the bound, the metrics' squared differences and dot products stay finite.
+            if not np.abs(traj.xy).max(initial=0.0) <= _MAX_ROOT / 4:
+                raise TrajectoryError(f"{path}:{lineno}: {traj.id!r} has a coordinate beyond ±{_MAX_ROOT / 4:.4g}")
+            trajectories.append(traj)
     return Dataset(trajectories=trajectories, tag=tag)
 
 

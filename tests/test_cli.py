@@ -394,18 +394,19 @@ class TestEvaluate:
         assert "dt=0.25" in capsys.readouterr().err
 
     def test_unscorable_observation_exits_3(self, workdir, model_a_path, tmp_path, capsys):
-        lines = workdir["test_a"].read_text().splitlines()
-        doc = json.loads(lines[1])
-        doc["points"][2][1] = 1e308  # (t, x, y): an observed point
-        lines[1] = json.dumps(doc)
-        data = tmp_path / "huge.jsonl"
-        data.write_text("\n".join(lines) + "\n")
+        # The dataset reader bounds coordinates, so a far test frame puts the
+        # curbside samples out where their squares overflow.
+        cfg = json.loads(workdir["frame_a"].read_text())
+        cfg["origin"] = [1e300, 0.0]
+        frame = tmp_path / "far_frame.json"
+        frame.write_text(json.dumps(cfg))
+        first = json.loads(workdir["test_a"].read_text().splitlines()[0])["id"]
         rc = main(
-            ["evaluate", "--model", str(model_a_path), "--data", str(data),
-             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
+            ["evaluate", "--model", str(model_a_path), "--data", str(workdir["test_a"]),
+             "--frame", str(frame), "--report", str(tmp_path / "r.json")]
         )
         assert rc == 3
-        assert f"observation {doc['id']!r} has curbside samples" in capsys.readouterr().err
+        assert f"observation {first!r} has curbside samples" in capsys.readouterr().err
 
     def test_emit_plots(self, workdir, model_a_path, tmp_path):
         plots = tmp_path / "plots"
@@ -463,6 +464,30 @@ class TestCompare:
              "--out", str(tmp_path / "c.json")]
         )
         assert rc == 2
+
+
+class TestDatasetReader:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "compare"])
+    def test_coordinate_past_the_bound_exits_2(self, workdir, model_a_path, tmp_path, capsys, command):
+        # A truth point of 1e308 would overflow metrics.mhd's squared
+        # differences; the reader names the file and line instead.
+        lines = workdir["test_a"].read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["points"][-1][1] = 1e308  # (t, x, y): the last truth point
+        lines[1] = json.dumps(doc)
+        data = tmp_path / "huge.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        frame, out = str(workdir["frame_a"]), str(tmp_path / "out.json")
+        argv = {
+            "train": ["train", "--data", str(data), "--frame", frame, "--out", out],
+            "evaluate": ["evaluate", "--model", str(model_a_path), "--data", str(data), "--frame", frame,
+                         "--report", out],
+            "compare": ["compare", "--train-a", str(workdir["train_a"]), "--test-a", str(data),
+                        "--train-b", str(workdir["train_b"]), "--test-b", str(workdir["test_b"]),
+                        "--frame-a", frame, "--frame-b", str(workdir["frame_b"]), "--out", out],
+        }[command]
+        assert main(argv) == 2
+        assert f"{data}:2: {doc['id']!r} has a coordinate beyond ±3.352e+153" in capsys.readouterr().err
 
 
 class TestUsage:

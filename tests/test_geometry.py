@@ -227,13 +227,37 @@ class TestProperties:
             td = to_curbside(f, c + (b - a))
             assert abs(cross2(tb - ta, td - tc)) < 1e-9 * max(1.0, np.linalg.norm(tb - ta))
 
-    def test_matrix_and_solve_paths_agree(self):
+    def test_matrix_and_point_paths_agree_bitwise(self):
         rng = np.random.default_rng(45)
         for _ in range(200):
             f = random_frame(rng)
             T = curbside_transform(f)
             pts = rng.uniform(-30, 30, (10, 2))
-            assert np.max(np.abs(T.apply(pts) - to_curbside(f, pts))) < 1e-9
+            assert T.apply(pts).tobytes() == to_curbside(f, pts).tobytes()
+            assert T.apply(pts[3]).tobytes() == to_curbside(f, pts[3]).tobytes() == to_curbside(f, pts)[3].tobytes()
+
+
+class TestEvaluator:
+    """Every conversion evaluates its affine map row by row over the last axis."""
+
+    def test_batch_of_rollouts_is_bitwise_each_rollout(self):
+        rng = np.random.default_rng(47)
+        f = random_frame(rng)
+        comps = rng.uniform(-60, 60, (6, 10, 2))
+        assert from_curbside(f, comps).tobytes() == np.stack([from_curbside(f, c) for c in comps]).tobytes()
+
+    def test_overflow_is_not_warned(self):
+        # Curbs 2e-6 rad apart: a finite point 1e303 m out maps past the
+        # largest float, and so do the sums on the way back from 1.5e308.
+        eps = 2e-6
+        f = frame_from_curbs((0.0, 0.0), (1.0, 0.0), (math.cos(eps), math.sin(eps)))
+        assert not np.isfinite(to_curbside(f, (0.0, 1e303))).all()
+        assert not np.isfinite(from_curbside(skew60(), [[1.5e308, 1.5e308]])).all()
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), ()])
+    def test_points_need_two_coordinates(self, shape):
+        with pytest.raises(ValueError, match="2-D points along the last axis"):
+            to_curbside(skew60(), np.zeros(shape))
 
 
 _coord = st.floats(-100.0, 100.0)
@@ -259,18 +283,16 @@ class TestRoundTripProperty:
 class TestStackedMap:
     def test_one_call_on_a_stack_is_bitwise_the_calls_per_trajectory(self):
         # curbside_stack maps the points of all trajectories in one call;
-        # the solve treats each point on its own, so the bits must not
-        # change. A single point is left out of the raw stack: LAPACK
-        # solves one column on another path, which can round differently,
-        # so curbside_stack maps it alone.
+        # the map treats each point on its own, so the bits must not
+        # change, one-point parts included.
         rng = np.random.default_rng(46)
         for _ in range(30):
             f = random_frame(rng)
-            parts = [rng.uniform(-60, 60, (n, 2)) for n in rng.choice([0, *range(2, 300)], 20)]
-            stacked = to_curbside(f, np.vstack(parts))
-            assert stacked.tobytes() == np.vstack([to_curbside(f, p) for p in parts]).tobytes()
+            parts = [rng.uniform(-60, 60, (n, 2)) for n in rng.choice(300, 20)]
             parts += [rng.uniform(-60, 60, (1, 2)) for _ in range(5)]
             rng.shuffle(parts)
+            stacked = to_curbside(f, np.vstack(parts))
+            assert stacked.tobytes() == np.vstack([to_curbside(f, p) for p in parts]).tobytes()
             trajs = [Trajectory(id=str(k), dt=0.5, times=0.5 * np.arange(len(p)), xy=p) for k, p in enumerate(parts)]
             xy, offsets = curbside_stack(f, trajs)
             assert xy.tobytes() == np.vstack([to_curbside(f, p) for p in parts]).tobytes()

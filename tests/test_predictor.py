@@ -218,9 +218,8 @@ class TestStackedFrontEnd:
     def test_grid_fits_each_trajectory_as_mapped_alone(self, small_a):
         frame = small_a["frame"]
         trajs = list(small_a["train"])[:20]
-        # Lone points, some beyond the data: LAPACK maps one point on
-        # another path than a stack of them, and about half of them round
-        # differently there.
+        # Lone points, some beyond the data: each must get the bits it gets
+        # mapped alone, and they decide the grid's bounds.
         points = np.vstack([t.xy for t in trajs])[::40] * 1.5
         lone = [Trajectory(id=f"lone-{k}", dt=0.5, times=[0.0], xy=[p]) for k, p in enumerate(points)]
         trajs = lone[:4] + trajs[:10] + lone[4:] + trajs[10:]
@@ -587,6 +586,18 @@ class TestPredictMany:
                 assert np.array_equal(a.trajectory.xy, b.trajectory.xy)
                 assert np.max(np.abs(a.step_variance - b.step_variance)) <= 1e-12
 
+    def test_maps_every_rollout_back_in_one_call(self, model_a, small_b):
+        frame, obs = small_b["frame"], observations(small_b["test"])
+        with mock.patch.object(predictor, "from_curbside", wraps=predictor.from_curbside) as back:
+            psets = predict_many(model_a, frame, obs)
+        assert back.call_count == 1
+        points = back.call_args.args[1]
+        assert points.shape == (3 * len(obs), 10, 2)
+        # Candidate c is rank c % 3 of observation c // 3, with the bits of a map of its own.
+        cands = [c for ps in psets for c in ps.candidates]
+        for cand, rollout in zip(cands, points, strict=True):
+            assert cand.trajectory.xy.tobytes() == from_curbside(frame, rollout).tobytes()
+
     def test_one_variance_solve_per_candidate_pattern(self, model_a, small_a, monkeypatch):
         calls = []
         real = predictor.posterior
@@ -839,6 +850,36 @@ class TestSkewedFrameProperty:
     def test_tasnsc_predictions_follow_a_skewed_frame(self, model_a, small_b, alpha, heading, radius, bearing):
         target = frame_at(radius * np.array([math.cos(bearing), math.sin(bearing)]), heading, alpha)
         assert_predictions_follow(*mapped_predictions(model_a, small_b, target))
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        alpha=st.floats(math.radians(5.0), math.radians(175.0)),
+        heading=st.floats(-math.pi, math.pi),
+        radius=st.floats(0.0, 50.0),
+        bearing=st.floats(-math.pi, math.pi),
+    )
+    def test_training_on_a_skewed_frame_gives_the_same_model(
+        self, model_a, small_a, small_b, alpha, heading, radius, bearing
+    ):
+        # The training half: scene A's trajectories mapped by M and trained
+        # with frame G give model A, up to the rounding of the map.
+        target = frame_at(radius * np.array([math.cos(bearing), math.sin(bearing)]), heading, alpha)
+        frame = small_a["frame"]
+        moved = Dataset(trajectories=[
+            Trajectory(id=t.id, dt=t.dt, times=t.times, xy=from_curbside(target, to_curbside(frame, t.xy)))
+            for t in small_a["train"]
+        ])
+        model = train(moved, target, model_a.config)
+        assert model.grid == model_a.grid
+        assert [(p.atoms, p.prior_weight) for p in model.patterns] == [
+            (p.atoms, p.prior_weight) for p in model_a.patterns
+        ]
+        assert model.dictionary.atoms.tobytes() == model_a.dictionary.atoms.tobytes()
+        assert np.array_equal(model.transitions, model_a.transitions)
+        obs = observations(small_b["test"])
+        assert_predictions_follow(
+            predict_many(model_a, small_b["frame"], obs), predict_many(model, small_b["frame"], obs), lambda xy: xy
+        )
 
     def test_baseline_predictions_change_under_a_skew(self, baseline_a, small_b):
         # The same corner and curb direction, with a curb angle of 40
