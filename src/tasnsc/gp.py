@@ -27,8 +27,8 @@ up to ``v = r²/2`` and falls after it, so its largest value on the
 interval is its value at ``clip(r²/2, lo, hi)``. A margin of 1e-9 times
 the sum of the terms' magnitudes covers the rounding of both sums. The
 bound reads a :class:`PatternTable`, which stacks a model's pattern inputs,
-weights, kernels and log priors once, so a query stacks nothing; exact
-scoring and the rollout read each pattern's own flow.
+weights and log priors once, beside the one kernel they share, so a query
+stacks nothing; exact scoring and the rollout read each pattern's own flow.
 
 A fit rejects inputs more than ``_MAX_ROOT / 4`` of its shorter length
 scale from the origin, and weights whose ``n · signal_sd² · max|α|`` exceeds
@@ -262,20 +262,21 @@ class PatternTable:
 
     ``patterns`` is the tuple of patterns. Rows ``offsets[p]:offsets[p + 1]``
     of ``inputs`` and ``alpha`` (column-contiguous, (n, 2) each) are pattern
-    p's GP inputs and weights, bitwise. ``sizes`` and ``kernels`` are plain
-    lists, one entry per pattern, where equal kernels are one object; and
-    ``log_prior`` (P,) holds the log prior weights. Read-only after
-    construction.
+    p's GP inputs and weights, bitwise. ``kernel`` is every flow's kernel
+    (None for no patterns; differing kernels raise :class:`ValueError`),
+    ``sizes`` a plain list of the flows' sizes, and ``log_prior`` (P,) the
+    log prior weights. Read-only after construction.
     """
 
-    __slots__ = ("patterns", "sizes", "kernels", "offsets", "inputs", "alpha", "log_prior")
+    __slots__ = ("patterns", "kernel", "sizes", "offsets", "inputs", "alpha", "log_prior")
 
     def __init__(self, patterns):
         self.patterns = tuple(patterns)
         flows = [p.flow for p in self.patterns]
+        self.kernel = flows[0].kernel if flows else None
+        if any(f.kernel != self.kernel for f in flows):
+            raise ValueError("a pattern table takes one GP kernel, its patterns have several")
         self.sizes = [len(f) for f in flows]
-        first = {}
-        self.kernels = [first.setdefault(f.kernel, f.kernel) for f in flows]
         self.offsets = np.cumsum([0] + self.sizes)
         # The kernel reads whole columns; column-contiguous copies read each
         # without a stride and give the same bits. One block, filled in
@@ -292,18 +293,17 @@ class PatternTable:
 
 
 def _kernel_runs(table: PatternTable, cap: int):
-    """(start, stop) runs of consecutive patterns that share a kernel.
+    """(start, stop) runs of consecutive patterns queried in one kernel matrix.
 
     Each run has at most ``cap`` inputs in all, or is one pattern.
     """
-    kernels = table.kernels
     start = size = 0
     for p, n in enumerate(table.sizes):
-        if p > start and (kernels[p] is not kernels[start] or size + n > cap):
+        if p > start and size + n > cap:
             yield start, p
             start, size = p, 0
         size += n
-    yield start, len(kernels)
+    yield start, len(table)
 
 
 def log_likelihood_bounds(table: PatternTable, samples, counts) -> np.ndarray:
@@ -313,10 +313,10 @@ def log_likelihood_bounds(table: PatternTable, samples, counts) -> np.ndarray:
     :class:`PatternTable` of the patterns in place of one pattern, and runs
     no triangular solve; see the module docstring for why the bound holds.
     Where a residual's square overflows, the bound is ``inf``, so that pair
-    is always scored exactly. Runs of patterns that share a kernel are
-    queried together, in blocks of at most 2**15 kernel entries, or of one
-    pattern where that pattern alone has more. Each block reads a row slice
-    of the table, so nothing is stacked per call.
+    is always scored exactly. Consecutive patterns are queried together, in
+    blocks of at most 2**15 kernel entries, or of one pattern where that
+    pattern alone has more. Each block reads a row slice of the table, so
+    nothing is stacked per call.
     """
     samples = np.asarray(samples, dtype=float)
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -324,9 +324,9 @@ def log_likelihood_bounds(table: PatternTable, samples, counts) -> np.ndarray:
     # by 0.6 MB; larger blocks run no faster.
     cap = 2**15 // max(len(samples), 1)
     terms = np.empty((len(samples), len(table)))
-    offsets = table.offsets
+    offsets, kernel = table.offsets, table.kernel
+    signal2, noise2 = kernel.signal_sd**2, kernel.noise_sd**2
     for start, stop in _kernel_runs(table, cap):
-        kernel = table.kernels[start]
         rows = slice(offsets[start], offsets[stop])
         k = kernel_matrix(kernel, samples[:, :2], table.inputs[rows])
         edges = offsets[start:stop] - offsets[start]
@@ -335,7 +335,6 @@ def log_likelihood_bounds(table: PatternTable, samples, counts) -> np.ndarray:
         mean_y = np.add.reduceat(k * alpha[:, 1], edges, axis=1)
         k *= k
         k_norm2 = np.add.reduceat(k, edges, axis=1)
-        signal2, noise2 = kernel.signal_sd**2, kernel.noise_sd**2
         resid2 = (samples[:, 2, None] - mean_x) ** 2 + (samples[:, 3, None] - mean_y) ** 2
         low = np.maximum(signal2 - k_norm2 / noise2, 0.0) + noise2
         var = np.clip(0.5 * resid2, low, signal2 + noise2)

@@ -74,7 +74,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 MODES = ("tasnsc", "baseline")
 
@@ -152,7 +152,8 @@ class TasnscModel:
 
     ``table`` is the :class:`~tasnsc.gp.PatternTable` of ``patterns``, built
     once here, so ``train``, ``load_model`` and ``dataclasses.replace`` each
-    give a model its own, and every prediction reads it.
+    give a model its own, and every prediction reads it. Its dictionary has
+    ``config.k_atoms`` atoms, and its flows are fit with ``config.kernel``.
     """
 
     frame: CurbsideFrame
@@ -166,6 +167,8 @@ class TasnscModel:
 
     def __post_init__(self):
         k = self.dictionary.k
+        if k != self.config.k_atoms:
+            raise ValueError(f"the dictionary has {k} atoms, config.k_atoms is {self.config.k_atoms}")
         if self.dictionary.atoms.shape[1] != self.grid.dim:
             raise ValueError(
                 f"dictionary atoms have dimension {self.dictionary.atoms.shape[1]}, "
@@ -193,6 +196,8 @@ class TasnscModel:
                     f"its transitions give {want!r}"
                 )
         object.__setattr__(self, "table", PatternTable(self.patterns))
+        if self.patterns and self.table.kernel != self.config.kernel:
+            raise ValueError(f"the patterns' GP kernel is {self.table.kernel}, config.kernel is {self.config.kernel}")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -260,6 +265,14 @@ def _transition_blocks(vel: np.ndarray, segments: list) -> list:
     return [(a.atom, b.atom, vel[a.start : min(b.stop, len(vel))]) for a, b in pairs]
 
 
+def _motion_pattern(atoms, inputs, targets, prior_weight: float, kernel: Kernel) -> MotionPattern:
+    """The pattern with its flow fit on (inputs, targets); an error names the pattern."""
+    try:
+        return MotionPattern(atoms=atoms, flow=GPModel(inputs, targets, kernel), prior_weight=prior_weight)
+    except ValueError as exc:
+        raise type(exc)(f"pattern {atoms}: {exc}") from exc
+
+
 def _subsample(samples: np.ndarray, cap: int) -> np.ndarray:
     if len(samples) <= cap:
         return samples
@@ -306,8 +319,8 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     patterns = []
     for (i, j) in sorted(blocks):
         samples = _subsample(np.vstack(blocks[(i, j)]), config.max_gp_points)
-        flow = GPModel(samples[:, :2], samples[:, 2:], config.kernel)
-        patterns.append(MotionPattern(atoms=(i, j), flow=flow, prior_weight=float(transitions[i, j] / total)))
+        weight = float(transitions[i, j] / total)
+        patterns.append(_motion_pattern((i, j), samples[:, :2], samples[:, 2:], weight, config.kernel))
     if not patterns:
         raise PipelineError("no motion patterns could be fit")
 
@@ -483,11 +496,8 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     return psets
 
 
-_MODEL_KEYS = (
-    "version", "config", "frame", "grid", "dictionary", "transitions", "final_objective", "patterns"
-)
-_DICTIONARY_KEYS = ("k", "lambda", "seed", "atoms")
-_PATTERN_KEYS = ("atoms", "prior_weight", "kernel", "inputs", "vx", "vy")
+_MODEL_KEYS = ("version", "config", "frame", "grid", "atoms", "transitions", "final_objective", "patterns")
+_PATTERN_KEYS = ("atoms", "prior_weight", "inputs", "vx", "vy")
 
 
 def _model_to_dict(model: TasnscModel) -> dict:
@@ -496,19 +506,13 @@ def _model_to_dict(model: TasnscModel) -> dict:
         "config": model.config.to_dict(),
         "frame": frame_to_config(model.frame),
         "grid": asdict(model.grid),
-        "dictionary": {
-            "k": model.dictionary.k,
-            "lambda": model.config.sparsity,
-            "seed": model.config.seed,
-            "atoms": model.dictionary.atoms.tolist(),
-        },
+        "atoms": model.dictionary.atoms.tolist(),
         "transitions": model.transitions.tolist(),
         "final_objective": model.final_objective,
         "patterns": [
             {
                 "atoms": list(p.atoms),
                 "prior_weight": p.prior_weight,
-                "kernel": asdict(p.flow.kernel),
                 "inputs": p.flow.inputs.tolist(),
                 "vx": p.flow.targets[:, 0].tolist(),
                 "vy": p.flow.targets[:, 1].tolist(),
@@ -525,48 +529,30 @@ def save_model(model: TasnscModel, path) -> None:
         fh.write("\n")
 
 
-def _dictionary(rec, config: PipelineConfig) -> Dictionary:
-    rec = _check_keys(rec, _DICTIONARY_KEYS, "dictionary")
-    dictionary = Dictionary(atoms=np.asarray(rec["atoms"], dtype=float))
-    for key, want in (("k", dictionary.k), ("lambda", config.sparsity), ("seed", config.seed)):
-        if rec[key] != want or isinstance(rec[key], bool):
-            raise ValueError(f"dictionary {key} is {rec[key]!r}, expected {want!r}")
-    return dictionary
-
-
-def _pattern(rec) -> MotionPattern:
+def _pattern(rec, kernel: Kernel) -> MotionPattern:
     rec = _check_keys(rec, _PATTERN_KEYS, "pattern")
     atoms = tuple(rec["atoms"]) if isinstance(rec["atoms"], list) else rec["atoms"]
     vx, vy = np.asarray(rec["vx"], dtype=float), np.asarray(rec["vy"], dtype=float)
     if vx.ndim != 1 or vx.shape != vy.shape:
         raise ValueError(f"pattern {atoms} has vx of shape {vx.shape} and vy of shape {vy.shape}")
-    kernel = _record(Kernel, rec["kernel"], "pattern kernel")
-    try:
-        flow = GPModel(np.asarray(rec["inputs"], dtype=float), np.column_stack((vx, vy)), kernel)
-    except ValueError as exc:
-        raise type(exc)(f"pattern {atoms}: {exc}") from exc
-    return MotionPattern(atoms=atoms, flow=flow, prior_weight=float(rec["prior_weight"]))
+    return _motion_pattern(atoms, rec["inputs"], np.column_stack((vx, vy)), float(rec["prior_weight"]), kernel)
 
 
 def load_model(path) -> TasnscModel:
-    """Read a model file; GP factorizations are rebuilt from the stored data."""
+    """Read a model file; GP factorizations are rebuilt from the stored data with ``config.kernel``."""
     with open(path) as fh:
-        doc = _check_keys(json.load(fh), _MODEL_KEYS, "model file")
-    version = doc["version"]
-    if version != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {version!r} in {path}")
+        doc = json.load(fh)
+    # The version is read first: a file of another version has other keys.
+    if isinstance(doc, dict) and doc.get("version", MODEL_VERSION) != MODEL_VERSION:
+        raise ValueError(f"unsupported model version {doc['version']!r} in {path}")
+    doc = _check_keys(doc, _MODEL_KEYS, "model file")
     config = PipelineConfig.from_dict(doc["config"])
-    frame = frame_from_config(doc["frame"])
-    grid = _record(GridSpec, doc["grid"], "grid")
-    dictionary = _dictionary(doc["dictionary"], config)
-    transitions = np.asarray(doc["transitions"])
-    patterns = [_pattern(rec) for rec in doc["patterns"]]
     return TasnscModel(
-        frame=frame,
-        grid=grid,
-        dictionary=dictionary,
-        transitions=transitions,
-        patterns=patterns,
+        frame=frame_from_config(doc["frame"]),
+        grid=_record(GridSpec, doc["grid"], "grid"),
+        dictionary=Dictionary(atoms=np.asarray(doc["atoms"], dtype=float)),
+        transitions=np.asarray(doc["transitions"]),
+        patterns=[_pattern(rec, config.kernel) for rec in doc["patterns"]],
         config=config,
         final_objective=float(doc["final_objective"]),
     )

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .geometry import CurbsideFrame, _check_keys, frame_from_curbs, from_curbside
+from .gp import _MAX_ROOT
 from .trajectory import Dataset, Trajectory
 
 __all__ = ["INTENTS", "SceneSpec", "generate", "scene_a", "scene_b", "load_scene", "scene_to_config"]
@@ -54,8 +55,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.speed_mean < math.inf and 0 <= self.speed_sd < math.inf):
-            raise ValueError("walking speed mean must be positive, sd nonnegative, both finite")
+        if not (0 < self.speed_mean and 0 <= self.speed_sd and _speeds(self)[1] <= _MAX_ROOT / 4):
+            raise ValueError(
+                f"need speed_mean > 0, speed_sd >= 0 and speed_mean + 3 * speed_sd <= {_MAX_ROOT / 4:.4g} m/s"
+            )
         if not all(0 < x < math.inf for x in (self.sidewalk_offset, self.approach_len, self.exit_len)):
             raise ValueError("sidewalk offset, approach and exit lengths must be positive and finite")
         if not (0 <= self.blend_len < math.inf and 0 <= self.noise_sd < math.inf):
@@ -147,11 +150,15 @@ def _intent_paths(scene: SceneSpec, names) -> dict:
     return paths
 
 
+def _speeds(scene: SceneSpec) -> tuple:
+    """The (slowest, fastest) walking speed a step draws, m/s."""
+    return max(_MIN_SPEED, scene.speed_mean - 3.0 * scene.speed_sd), scene.speed_mean + 3.0 * scene.speed_sd
+
+
 def _walk(rng: np.random.Generator, scene: SceneSpec, s_grid: np.ndarray, pts: np.ndarray, dt: float) -> np.ndarray:
     """Sample along-path positions at a per-step random walking speed."""
     total = s_grid[-1]
-    lo = max(_MIN_SPEED, scene.speed_mean - 3.0 * scene.speed_sd)
-    hi = scene.speed_mean + 3.0 * scene.speed_sd
+    lo, hi = _speeds(scene)
     # Each step covers at least lo * dt, so this many draws pass the end.
     # The walk stops at the first station past it; the generator is then
     # rewound and advanced by exactly the draws used, as one draw per step
@@ -187,6 +194,11 @@ def generate(scene: SceneSpec, n: int, dt: float = 0.5, tag: str = "train") -> D
     intents = np.random.default_rng(seeds[0]).choice(names, size=n, p=probs)
 
     paths = _intent_paths(scene, names)
+    slowest, shortest = _speeds(scene)[0], min(s[-1] for s, _ in paths.values())
+    if not slowest * dt < shortest:
+        raise ValueError(
+            f"dt={dt} s is too long: a slowest step, {slowest:.4g} m/s, covers the {shortest:.4g} m intent path"
+        )
     trajectories = []
     for i, intent in enumerate(intents):
         rng = np.random.default_rng(seeds[i + 1])

@@ -164,7 +164,7 @@ def split_horizon(traj: Trajectory, t_obs: float, t_pred: float) -> tuple[Trajec
 
 
 def load_dataset(path, tag: str = "train") -> Dataset:
-    """Read a JSON-lines dataset file; a coordinate may not exceed ``sqrt(float max) / 4`` in magnitude."""
+    """Read a JSON-lines dataset file; errors name ``path:line``, and ``sqrt(float max) / 4`` bounds coordinates."""
     trajectories = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -174,7 +174,9 @@ def load_dataset(path, tag: str = "train") -> Dataset:
             try:
                 rec = json.loads(line)
                 traj = Trajectory.from_points(rec["id"], rec["dt"], rec["points"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except TrajectoryError as exc:
+                raise TrajectoryError(f"{path}:{lineno}: {exc}") from exc
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad trajectory record: {exc}") from exc
             # Below the bound, the metrics' squared differences and dot products stay finite.
             if not np.abs(traj.xy).max(initial=0.0) <= _MAX_ROOT / 4:

@@ -87,6 +87,29 @@ class TestGenerate:
         assert rc == 2
         assert f"the scene's {path} path has a non-finite point or length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["speed_mean", "speed_sd"])
+    def test_unbounded_speed_exits_2(self, workdir, tmp_path, capsys, key):
+        # A speed sd of 1e308 overflowed the walk's running sum; a mean of
+        # 1e308 passed the whole path in one step.
+        cfg = json.loads(workdir["scene_a"].read_text())
+        cfg[key] = 1e308
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(cfg))
+        rc = main(["generate", "--scene", str(scene), "--n", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "speed_mean + 3 * speed_sd <= 3.352e+153 m/s" in capsys.readouterr().err
+
+    def test_dt_past_the_shortest_path_exits_2(self, workdir, tmp_path, capsys):
+        # Scene A's slowest step is 0.8 m/s and its shortest path 15.7 m, so
+        # a 20 s step would write one-point trajectories.
+        rc = main(["generate", "--scene", str(workdir["scene_a"]), "--n", "5", "--dt", "20",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dt=20.0 s is too long: a slowest step, 0.8 m/s, covers the 15.66 m intent path" in err
+        assert main(["generate", "--scene", str(workdir["scene_a"]), "--n", "5", "--dt", "19",
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_intent_mix_list_exits_2(self, workdir, tmp_path, capsys):
         cfg = json.loads(workdir["scene_a"].read_text())
         cfg["intent_mix"] = []
@@ -122,7 +145,7 @@ class TestTrain:
         )
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert len(doc["patterns"]) >= 3
         assert "patterns" in capsys.readouterr().out
 
@@ -133,7 +156,7 @@ class TestTrain:
              "--out", str(out), "--k", "1"]
         )
         assert rc == 0
-        assert json.loads(out.read_text())["dictionary"]["k"] == 1
+        assert len(json.loads(out.read_text())["atoms"]) == 1
 
     def test_empty_dataset_exits_3(self, workdir, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -174,7 +197,7 @@ class TestTrain:
         )
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["dictionary"]["k"] == 4  # flag beats config file
+        assert len(doc["atoms"]) == 4  # flag beats config file
         assert doc["config"]["iters"] == 40  # config file beats default
 
     @pytest.mark.parametrize(
@@ -255,6 +278,16 @@ def model_a_path(workdir):
     return out
 
 
+def as_version_1(doc):
+    """The model file as version 1 wrote it: a dictionary record, and a kernel in every pattern."""
+    config = doc["config"]
+    doc["version"] = 1
+    doc["dictionary"] = {"k": config["k_atoms"], "lambda": config["sparsity"], "seed": config["seed"],
+                         "atoms": doc.pop("atoms")}
+    for rec in doc["patterns"]:
+        rec["kernel"] = config["kernel"]
+
+
 class TestEvaluate:
     def test_report_written(self, workdir, model_a_path, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -299,7 +332,7 @@ class TestEvaluate:
 
     def test_non_finite_atom_exits_2(self, workdir, model_a_path, tmp_path, capsys):
         doc = json.loads(model_a_path.read_text())
-        doc["dictionary"]["atoms"][0][0] = float("nan")
+        doc["atoms"][0][0] = float("nan")
         bad = tmp_path / "nan_model.json"
         bad.write_text(json.dumps(doc))
         rc = main(
@@ -312,7 +345,7 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc["patterns"][0]["kernel"].update(lenght_x=2.0), "unknown keys ['lenght_x']"),
+            (lambda doc: doc["config"]["kernel"].update(lenght_x=2.0), "unknown keys ['lenght_x']"),
             (lambda doc: doc["grid"].pop("cell"), "missing keys ['cell']"),
             (lambda doc: doc["frame"].pop("curb2"), "missing keys ['curb2']"),
             (lambda doc: doc["config"].update(dt=float("nan")), "dt must be positive and finite"),
@@ -321,22 +354,25 @@ class TestEvaluate:
             (lambda doc: doc["patterns"][0].update(atoms=[0]), "pattern atoms must be a pair of integers"),
             (lambda doc: doc["patterns"][0].update(extra=1), "pattern: unknown keys ['extra']"),
             (lambda doc: doc["patterns"][0]["vx"].pop(), "has vx of shape"),
-            (lambda doc: doc["dictionary"].update(k=99), "dictionary k is 99"),
-            (lambda doc: doc["dictionary"].update({"lambda": 5.0}), "dictionary lambda is 5.0"),
-            (lambda doc: doc["dictionary"].update(extra=1), "dictionary: unknown keys ['extra']"),
+            (lambda doc: doc["config"].update(k_atoms=99), "the dictionary has 12 atoms, config.k_atoms is 99"),
+            # Version 1's dictionary record.
+            (lambda doc: doc.update(dictionary={"k": 12, "lambda": 0.1, "seed": 0, "atoms": doc.pop("atoms")}),
+             "model file: unknown keys ['dictionary'], missing keys ['atoms']"),
+            (lambda doc: doc["patterns"][0].update(kernel=doc["config"]["kernel"]), "pattern: unknown keys ['kernel']"),
+            (as_version_1, "unsupported model version 1"),
             (lambda doc: doc["patterns"].append(doc["patterns"][0]), "appears more than once"),
             (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
             (lambda doc: [p.update(prior_weight=1.0) for p in doc["patterns"]], "has prior weight 1.0"),
-            (lambda doc: doc["patterns"][0]["kernel"].update(signal_sd=1e308),
+            (lambda doc: doc["config"]["kernel"].update(signal_sd=1e308),
              "signal_sd must be positive and finite, and so must its square"),
-            (lambda doc: doc["patterns"][0]["kernel"].update(noise_sd=1e308),
+            (lambda doc: doc["config"]["kernel"].update(noise_sd=1e308),
              "noise_sd must be positive and finite, and so must its square"),
             (lambda doc: doc["config"].update(t_obs=1e308), "t_obs / dt must be finite"),
             (lambda doc: doc["config"].update(t_pred=1e308), "t_pred / dt must be finite"),
             (lambda doc: doc["grid"].update(cell=1e-320), "cell 1e-320 gives the grid 2**63 or more features"),
             (lambda doc: doc["grid"].update(cell=1e-300), "cell 1e-300 gives the grid 2**63 or more features"),
             # Finite, but the norm's sum of squares overflows.
-            (lambda doc: doc["dictionary"]["atoms"][0].__setitem__(0, 1e308), "an atom whose norm overflows"),
+            (lambda doc: doc["atoms"][0].__setitem__(0, 1e308), "an atom whose norm overflows"),
             (lambda doc: doc["frame"]["curb1"].__setitem__(0, 1e308), "curb direction has near-zero or non-finite length"),
             # Finite, but the scoring's kernel squares and posterior means would overflow.
             (lambda doc: doc["patterns"][0]["inputs"][0].__setitem__(0, 1e308), "GP inputs must lie within"),
@@ -346,8 +382,8 @@ class TestEvaluate:
              "t_pred must be at least one step of dt, got 0.25 / 0.5"),
         ],
         ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
-             "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-lambda",
-             "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight",
+             "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-extra-key", "pattern-kernel",
+             "version-1", "duplicate-pattern", "float-transition", "prior-weight",
              "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow",
              "grid-cells-overflow", "grid-features-overflow", "atom-norm-overflow", "curb-norm-overflow",
              "pattern-input-overflow", "pattern-weight-overflow", "zero-step-horizon"],
@@ -368,7 +404,7 @@ class TestEvaluate:
         "doc, message",
         [
             ([], "model file must be a JSON object, got list"),
-            ({"version": 1}, "missing keys ['config', 'frame', 'grid', 'dictionary'"),
+            ({"version": 2}, "missing keys ['config', 'frame', 'grid', 'atoms'"),
         ],
         ids=["list", "version-only"],
     )

@@ -408,23 +408,20 @@ class TestFlow:
 
 @st.composite
 def random_patterns(draw):
-    """1-3 patterns on random GPs (kernels shared or not) with samples on top of their inputs and far away."""
+    """1-3 patterns on random GPs of one random kernel, with samples on top of their inputs and far away."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kernels = [
-        Kernel(
-            length_x=draw(st.floats(0.2, 5.0)),
-            length_y=draw(st.floats(0.2, 5.0)),
-            signal_sd=draw(st.floats(0.1, 3.0)),
-            noise_sd=draw(st.floats(3e-3, 2.0)),
-        )
-        for _ in range(draw(st.integers(1, 2)))
-    ]
+    kernel = Kernel(
+        length_x=draw(st.floats(0.2, 5.0)),
+        length_y=draw(st.floats(0.2, 5.0)),
+        signal_sd=draw(st.floats(0.1, 3.0)),
+        noise_sd=draw(st.floats(3e-3, 2.0)),
+    )
     patterns = []
     for p in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 30))
         inputs = rng.uniform(-3.0, 3.0, (n, 2))
         targets = rng.normal(0.0, draw(st.floats(0.01, 3.0)), (n, 2))
-        flow = GPModel(inputs, targets, kernels[p % len(kernels)])
+        flow = GPModel(inputs, targets, kernel)
         patterns.append(MotionPattern(atoms=(p, p), flow=flow, prior_weight=draw(st.floats(1e-6, 1.0))))
     counts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
     n = sum(counts)
@@ -469,13 +466,13 @@ class TestLogLikelihoodBounds:
         assert np.all(exact <= bound) and np.all(bound <= exact + 1e-8 * (1.0 + np.abs(exact)))
 
     def test_blocks_equal_each_pattern_alone(self):
-        # Two kernels, interleaved, and a cap that splits the runs further.
+        # A cap that splits the patterns into runs of one and of several.
         rng = np.random.default_rng(12)
-        kernels = [Kernel(1.0, 2.0, 1.0, 0.3), Kernel(2.0, 1.0, 0.8, 0.2)]
+        kernel = Kernel(1.0, 2.0, 1.0, 0.3)
         patterns = [
-            MotionPattern(atoms=(p, p), flow=GPModel(rng.uniform(-3, 3, (n, 2)), rng.normal(0, 1, (n, 2)), kernels[k]),
+            MotionPattern(atoms=(p, p), flow=GPModel(rng.uniform(-3, 3, (n, 2)), rng.normal(0, 1, (n, 2)), kernel),
                           prior_weight=0.2)
-            for p, (n, k) in enumerate([(5, 0), (9, 0), (4, 0), (7, 1), (3, 0), (8, 0)])
+            for p, n in enumerate([5, 9, 4, 7, 3, 8])
         ]
         samples = rng.uniform(-3, 3, (6, 4))
         counts = [2, 0, 4]
@@ -483,8 +480,8 @@ class TestLogLikelihoodBounds:
         alone = np.vstack([log_likelihood_bounds(PatternTable([p]), samples, counts) for p in patterns])
         together = log_likelihood_bounds(table, samples, counts)
         assert np.allclose(together, alone, rtol=1e-13, atol=0.0)
-        assert list(gp_module._kernel_runs(table, 14)) == [(0, 2), (2, 3), (3, 4), (4, 6)]
-        assert list(gp_module._kernel_runs(table, 9)) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+        assert list(gp_module._kernel_runs(table, 14)) == [(0, 2), (2, 5), (5, 6)]
+        assert list(gp_module._kernel_runs(table, 12)) == [(0, 1), (1, 2), (2, 4), (4, 6)]
 
     def test_block_size_capped(self, monkeypatch):
         # A stacked kernel query has at most 2**15 entries; only a pattern
@@ -520,7 +517,7 @@ class TestLogLikelihoodBounds:
 class TestPatternTable:
     def test_rows_are_each_patterns_inputs_and_weights(self):
         rng = np.random.default_rng(14)
-        kernels = [Kernel(1.0, 2.0, 1.0, 0.3), Kernel(2.0, 1.0, 0.8, 0.2), Kernel(1.0, 2.0, 1.0, 0.3)]
+        kernels = [Kernel(1.0, 2.0, 1.0, 0.3) for _ in range(3)]  # equal, but not one object
         patterns = [
             MotionPattern(atoms=(p, p), flow=GPModel(rng.uniform(-3, 3, (n, 2)), rng.normal(0, 1, (n, 2)), kernel),
                           prior_weight=w)
@@ -528,20 +525,29 @@ class TestPatternTable:
         ]
         table = PatternTable(patterns)
         assert table.patterns == tuple(patterns) and len(table) == 3
+        assert table.kernel == Kernel(1.0, 2.0, 1.0, 0.3)
         assert table.sizes == [5, 1, 9] and list(table.offsets) == [0, 5, 6, 15]
         assert table.inputs.flags.f_contiguous and table.alpha.flags.f_contiguous
         for p, pat in enumerate(patterns):
             rows = slice(table.offsets[p], table.offsets[p + 1])
             assert table.inputs[rows].tobytes() == pat.flow.inputs.tobytes()
             assert table.alpha[rows].tobytes() == pat.flow._alpha.tobytes()
-            assert table.kernels[p] == pat.flow.kernel
             assert table.log_prior[p] == np.log(pat.prior_weight)
-        # Equal kernels are one object, so runs of them compare by identity.
-        assert table.kernels[0] is table.kernels[2] and table.kernels[0] is not table.kernels[1]
+
+    def test_mixed_kernels_rejected(self):
+        rng = np.random.default_rng(15)
+        patterns = [
+            MotionPattern(atoms=(p, p), flow=GPModel(rng.uniform(-3, 3, (4, 2)), rng.normal(0, 1, (4, 2)), kernel),
+                          prior_weight=0.5)
+            for p, kernel in enumerate([Kernel(1.0, 2.0, 1.0, 0.3), Kernel(1.0, 2.0, 1.0, 0.3000000000000001)])
+        ]
+        with pytest.raises(ValueError, match="a pattern table takes one GP kernel, its patterns have several"):
+            PatternTable(patterns)
 
     def test_empty(self):
         table = PatternTable([])
         assert len(table) == 0 and table.inputs.shape == (0, 2) and table.alpha.shape == (0, 2)
+        assert table.kernel is None
 
 
 class TestFitReach:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tasnsc import predictor
 from tasnsc.geometry import frame_from_curbs, from_curbside, identity_frame, to_curbside, transform_trajectory
 from tasnsc.gp import Kernel, PatternTable, fit, pattern_log_likelihood, posterior
+from tasnsc.metrics import evaluate
 from tasnsc.predictor import (
     PipelineConfig,
     PipelineError,
@@ -142,6 +143,14 @@ class TestTrain:
         model = train(generate(scene, 20), scene.frame(), PipelineConfig(k_atoms=1))
         assert model.dictionary.k == 1
         assert [p.atoms for p in model.patterns] == [(0, 0)]
+
+    def test_failed_fit_names_its_pattern(self):
+        # The GP reach shrinks with the shorter length scale: here to about
+        # 3e-6 m, which every pattern's inputs exceed.
+        scene = straight_scene()
+        config = PipelineConfig(k_atoms=1, kernel=Kernel(length_x=1e-160, noise_sd=0.4))
+        with pytest.raises(ValueError, match=re.escape("pattern (0, 0): GP inputs must lie within")):
+            train(generate(scene, 20), scene.frame(), config)
 
     def test_baseline_equals_tasnsc_on_identity_frame(self):
         # When the curbside frame IS the local frame, the transform changes
@@ -746,26 +755,24 @@ class TestModelTable:
         assert fewer.table is not model_a.table and fewer.table.patterns == tuple(model_a.patterns[:3])
         assert fewer.table.inputs.tobytes() == model_a.table.inputs[: model_a.table.offsets[3]].tobytes()
 
-    def test_loaded_mixed_kernels_rank_exhaustively(self, model_a, small_a, small_b, tmp_path):
-        # Every third pattern gets another kernel, so the bound pass runs
-        # over many short runs of one kernel.
+    def test_loaded_model_fits_with_the_config_kernel(self, model_a, small_a, tmp_path):
+        kernel = {"length_x": 1.5, "length_y": 2.5, "signal_sd": 0.9, "noise_sd": 0.35}
+
         def edit(doc):
-            for rec in doc["patterns"][::3]:
-                rec["kernel"] = {"length_x": 1.5, "length_y": 2.5, "signal_sd": 0.9, "noise_sd": 0.35}
+            doc["config"]["kernel"] = kernel
 
         model = load_model(edited_model_file(model_a, tmp_path, edit))
-        assert len({id(k) for k in model.table.kernels}) == 2
-        for data in (small_a, small_b):
-            rows = scoring_rows(data["frame"], observations(data["test"]))
-            for v in rows:
-                order, scores = predictor._top_patterns(model.table, v, np.array([len(v)]), 3)
-                want_order, want_scores = exhaustive_top_patterns(model.patterns, v, [len(v)], 3)
-                assert np.array_equal(order, want_order)
-                assert scores.tobytes() == want_scores.tobytes()
-            counts = np.array([len(v) for v in rows])
-            order, _ = predictor._top_patterns(model.table, np.vstack(rows), counts, 3)
-            want_order, _ = exhaustive_top_patterns(model.patterns, np.vstack(rows), counts, 3)
-            assert np.array_equal(order, want_order)
+        assert model.table.kernel == model.config.kernel == Kernel(**kernel)
+        assert all(pat.flow.kernel == Kernel(**kernel) for pat in model.patterns)
+        obs = observations(small_a["test"])
+        moved = predict_many(model, small_a["frame"], obs)
+        assert not all(map(same_predictions, predict_many(model_a, small_a["frame"], obs), moved))
+
+    def test_pattern_kernel_other_than_the_config_kernel_rejected(self, model_a):
+        other = dataclasses.replace(model_a.config, kernel=Kernel(noise_sd=0.3))
+        message = f"the patterns' GP kernel is {model_a.config.kernel}, config.kernel is {other.kernel}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(model_a, config=other)
 
 
 def mapped_predictions(model, data, target):
@@ -891,6 +898,28 @@ class TestSkewedFrameProperty:
         assert_some_pattern_changes(base, moved)
 
 
+class TestTransferAtAShortObservation:
+    """The transfer claim where accuracy is not saturated.
+
+    At the protocol's 2.5 s observation TASNSC B→A reads 100%. At 2.0 s the
+    accuracy of every row falls below saturation, and the curbside frame
+    still carries model B's patterns to scene A, while the local frame does
+    not: 79.8% against 40.0% at test seed 1007.
+    """
+
+    def test_tasnsc_beats_the_baseline_from_b_to_a(self):
+        sa, sb = scene_a(), scene_b()
+        train_b = generate(sb, 150, tag="b-train")
+        test_a = generate(with_seed(sa, 1007), 30, tag="a-test")
+        accuracy = {}
+        for mode in ("tasnsc", "baseline"):
+            model = train(train_b, sb.frame(), PipelineConfig(mode=mode))
+            probe = dataclasses.replace(model, config=dataclasses.replace(model.config, t_obs=2.0))
+            accuracy[mode] = evaluate(probe, test_a, sa.frame()).classification_accuracy
+        # Acceptance criterion 7's margin.
+        assert accuracy["tasnsc"] >= accuracy["baseline"] + 10.0, accuracy
+
+
 @pytest.fixture(scope="module")
 def baseline_a(small_a):
     return train(small_a["train"], small_a["frame"], PipelineConfig(mode="baseline"))
@@ -942,23 +971,24 @@ class TestModelChecks:
 
     def test_atom_dimension_differs_from_grid(self, model_a, tmp_path):
         def edit(doc):
-            doc["dictionary"]["atoms"] = [atom[:-4] for atom in doc["dictionary"]["atoms"]]
+            doc["atoms"] = [atom[:-4] for atom in doc["atoms"]]
 
         with pytest.raises(ValueError, match="dictionary atoms have dimension"):
             load_model(edited_model_file(model_a, tmp_path, edit))
 
     def test_non_finite_atom(self, model_a, tmp_path):
         def edit(doc):
-            doc["dictionary"]["atoms"][0][0] = float("nan")
+            doc["atoms"][0][0] = float("nan")
 
         with pytest.raises(ValueError, match="non-finite"):
             load_model(edited_model_file(model_a, tmp_path, edit))
 
     def test_unknown_pattern_kernel_key(self, model_a, tmp_path):
+        # The kernel is config.kernel; a pattern record does not repeat it.
         def edit(doc):
-            doc["patterns"][0]["kernel"]["lenght_x"] = doc["patterns"][0]["kernel"].pop("length_x")
+            doc["patterns"][0]["kernel"] = doc["config"]["kernel"]
 
-        message = "pattern kernel: unknown keys ['lenght_x'], missing keys ['length_x']"
+        message = "pattern: unknown keys ['kernel'], missing keys []"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(edited_model_file(model_a, tmp_path, edit))
 
@@ -987,7 +1017,7 @@ class TestModelChecks:
         "doc, message",
         [
             ([], "model file must be a JSON object, got list"),
-            ({"version": 1}, "model file: unknown keys [], missing keys ['config', 'frame', 'grid'"),
+            ({"version": 2}, "model file: unknown keys [], missing keys ['config', 'frame', 'grid'"),
         ],
         ids=["list", "version-only"],
     )
@@ -1013,10 +1043,11 @@ class TestModelChecks:
             (lambda doc: doc["patterns"][0].update(extra=1), "pattern: unknown keys ['extra'], missing keys []"),
             (lambda doc: doc["patterns"][0].pop("vy"), "pattern: unknown keys [], missing keys ['vy']"),
             (lambda doc: doc["patterns"][0]["vy"].pop(), "has vx of shape"),
-            (lambda doc: doc["dictionary"].update(k=99), "dictionary k is 99, expected"),
-            (lambda doc: doc["dictionary"].update({"lambda": 5.0}), "dictionary lambda is 5.0, expected 0.1"),
-            (lambda doc: doc["dictionary"].update(seed=3), "dictionary seed is 3, expected 0"),
-            (lambda doc: doc["dictionary"].update(extra=1), "dictionary: unknown keys ['extra'], missing keys []"),
+            (lambda doc: doc["config"].update(k_atoms=99), "the dictionary has 12 atoms, config.k_atoms is 99"),
+            (lambda doc: doc["atoms"].pop(), "the dictionary has 11 atoms, config.k_atoms is 12"),
+            # Version 1's dictionary record.
+            (lambda doc: doc.update(dictionary={"k": 12, "atoms": doc.pop("atoms")}),
+             "model file: unknown keys ['dictionary'], missing keys ['atoms']"),
             (lambda doc: doc["patterns"].append(doc["patterns"][0]), "appears more than once"),
             (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
             (lambda doc: [p.update(prior_weight=1.0) for p in doc["patterns"]], "has prior weight 1.0"),
@@ -1024,7 +1055,7 @@ class TestModelChecks:
              "has prior weight"),
         ],
         ids=["float-atoms", "one-atom", "bool-atom", "pattern-extra-key", "pattern-missing-vy",
-             "vx-vy-lengths", "dictionary-k", "dictionary-lambda", "dictionary-seed",
+             "vx-vy-lengths", "dictionary-k", "atom-count",
              "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight", "prior-weight-ulp"],
     )
     def test_bad_record_rejected(self, model_a, tmp_path, edit, message):
@@ -1088,8 +1119,6 @@ class TestSaveLoadProperty:
         doc["config"]["kernel"] = shuffled(doc["config"]["kernel"], rnd)
         doc["config"] = shuffled(doc["config"], rnd)
         doc["grid"] = shuffled(doc["grid"], rnd)
-        for rec in doc["patterns"]:
-            rec["kernel"] = shuffled(rec["kernel"], rnd)
         reordered = path.with_name("reordered.json")
         reordered.write_text(json.dumps(shuffled(doc, rnd)))
         loaded, reloaded = load_model(path), load_model(reordered)

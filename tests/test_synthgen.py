@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tasnsc.geometry import from_curbside, to_curbside
+from tasnsc.gp import _MAX_ROOT
 from tasnsc.synthgen import (
     _MIN_SPEED,
     SceneSpec,
@@ -43,6 +45,13 @@ class TestSceneSpec:
         # With a NaN speed the along-path walk never reaches the path end.
         with pytest.raises(ValueError):
             SceneSpec(**{name: bad})
+
+    def test_fastest_speed_bounded(self):
+        bound = _MAX_ROOT / 4
+        SceneSpec(speed_mean=bound, speed_sd=0.0)  # at the bound
+        for fields in ({"speed_mean": bound, "speed_sd": 1e150}, {"speed_mean": 1e308}, {"speed_sd": 1e308}):
+            with pytest.raises(ValueError, match=re.escape(f"speed_mean + 3 * speed_sd <= {bound:.4g} m/s")):
+                SceneSpec(**fields)
 
     def test_nan_intent_proportion_rejected(self):
         with pytest.raises(ValueError, match="intent proportions"):
@@ -152,6 +161,15 @@ class TestGenerate:
     def test_bad_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             generate(scene_a(), 3, dt=dt)
+
+    def test_step_past_the_shortest_path_rejected(self):
+        # Only the intents in the mix count: the straight path is 16 m, and
+        # the turns are shorter.
+        scene = SceneSpec(speed_mean=1.6, speed_sd=0.0, noise_sd=0.0, intent_mix={"straight": 1.0})
+        assert [len(t) for t in generate(scene, 3, dt=9.9)] == [2, 2, 2]
+        message = "dt=12.0 s is too long: a slowest step, 1.6 m/s, covers the 16 m intent path"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate(scene, 3, dt=12.0)
 
 
 def reference_generate(scene, n, dt=0.5):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -141,12 +143,24 @@ class TestDataset:
 
     def test_nan_in_file_rejected(self, tmp_path):
         path = tmp_path / "nan.jsonl"
-        path.write_text('{"id": "a", "dt": 0.5, "points": [[0, 0, 0], [0.5, NaN, 0]]}\n')
-        with pytest.raises(TrajectoryError, match="non-finite"):
+        path.write_text(
+            '{"id": "a", "dt": 0.5, "points": [[0, 0, 0]]}\n'
+            '{"id": "b", "dt": 0.5, "points": [[0, 0, 0], [0.5, NaN, 0]]}\n'
+        )
+        with pytest.raises(TrajectoryError, match=re.escape(f"{path}:2: 'b' has non-finite timestamps or positions")):
             load_dataset(path)
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "points", ["[[0, 0, 0], [0.5, 1]]", "[[0, 0], [0.5, 1]]"], ids=["ragged", "two-columns"]
+    )
+    def test_malformed_points_name_the_line(self, tmp_path, points):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{{"id": "a", "dt": 0.5, "points": [[0, 0, 0]]}}\n{{"id": "b", "dt": 0.5, "points": {points}}}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad trajectory record: ")):
             load_dataset(path)
