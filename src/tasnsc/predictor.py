@@ -74,11 +74,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 MODES = ("tasnsc", "baseline")
 
 _INT_FIELDS = ("k_atoms", "iters", "min_segment", "top_m", "max_gp_points", "seed")
+
+# Most (trajectory, feature) entries train's dense feature matrix may hold:
+# 512 MiB of float64. Paper scale needs at most 150 x 2520.
+_MAX_FEATURE_ENTRIES = 2**26
 
 
 class PipelineError(RuntimeError):
@@ -104,7 +108,6 @@ class PipelineConfig:
     kernel: Kernel = field(default_factory=lambda: Kernel(noise_sd=0.4))
     seed: int = 0
     mode: str = "tasnsc"
-    grid: GridSpec | None = None  # None: fit bounds to the training data
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -136,8 +139,6 @@ class PipelineConfig:
         d = dict(_check_keys(d, cls.__dataclass_fields__, "pipeline config", partial=True))
         if "kernel" in d:
             d["kernel"] = _record(Kernel, d["kernel"], "kernel")
-        if d.get("grid") is not None:
-            d["grid"] = _record(GridSpec, d["grid"], "grid")
         return cls(**d)
 
 
@@ -153,7 +154,8 @@ class TasnscModel:
     ``table`` is the :class:`~tasnsc.gp.PatternTable` of ``patterns``, built
     once here, so ``train``, ``load_model`` and ``dataclasses.replace`` each
     give a model its own, and every prediction reads it. Its dictionary has
-    ``config.k_atoms`` atoms, and its flows are fit with ``config.kernel``.
+    ``config.k_atoms`` atoms, its grid has cells of ``config.grid_cell``, and
+    its flows are fit with ``config.kernel``.
     """
 
     frame: CurbsideFrame
@@ -169,6 +171,8 @@ class TasnscModel:
         k = self.dictionary.k
         if k != self.config.k_atoms:
             raise ValueError(f"the dictionary has {k} atoms, config.k_atoms is {self.config.k_atoms}")
+        if self.grid.cell != self.config.grid_cell:
+            raise ValueError(f"the grid has cell {self.grid.cell!r}, config.grid_cell is {self.config.grid_cell!r}")
         if self.dictionary.atoms.shape[1] != self.grid.dim:
             raise ValueError(
                 f"dictionary atoms have dimension {self.dictionary.atoms.shape[1]}, "
@@ -284,15 +288,23 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     """Fit the full pipeline on a training dataset.
 
     ``frame`` is the curbside frame of the training intersection, expressed
-    in the same local coordinates as the data. A trajectory with fewer than
-    2 points or no motion is dropped after the grid is fit.
+    in the same local coordinates as the data. The grid is fit to the
+    curbside points with cells of ``config.grid_cell``, padded by one cell;
+    a grid whose feature matrix would hold more than ``_MAX_FEATURE_ENTRIES``
+    entries raises :class:`PipelineError`. A trajectory with fewer than 2
+    points or no motion is dropped after the grid is fit.
     """
     config = config if config is not None else PipelineConfig()
     if len(dataset) < 2:
         raise PipelineError(f"training needs at least 2 trajectories, got {len(dataset)}")
     _check_dt(dataset.dt, config, "training data")
     xy, offsets = curbside_stack(_effective_frame(frame, config.mode), dataset.trajectories)
-    grid = config.grid if config.grid is not None else _fit_grid(xy, config.grid_cell)
+    grid = _fit_grid(xy, config.grid_cell)
+    if (entries := len(dataset) * grid.dim) > _MAX_FEATURE_ENTRIES:  # Python ints: no overflow
+        raise PipelineError(
+            f"grid_cell {config.grid_cell} gives {len(dataset)} trajectories x {grid.dim} features = "
+            f"{entries} feature entries, more than the budget of {_MAX_FEATURE_ENTRIES}"
+        )
 
     votes = pair_votes(xy, offsets, dataset.dt, grid)
     if votes.n_clipped:

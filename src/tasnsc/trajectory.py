@@ -164,7 +164,7 @@ def split_horizon(traj: Trajectory, t_obs: float, t_pred: float) -> tuple[Trajec
 
 
 def load_dataset(path, tag: str = "train") -> Dataset:
-    """Read a JSON-lines dataset file; errors name ``path:line``, and ``sqrt(float max) / 4`` bounds coordinates."""
+    """Read a JSON-lines dataset file of one ``dt``; errors name ``path:line``, and ``sqrt(float max) / 4`` bounds coordinates."""
     trajectories = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -181,6 +181,10 @@ def load_dataset(path, tag: str = "train") -> Dataset:
             # Below the bound, the metrics' squared differences and dot products stay finite.
             if not np.abs(traj.xy).max(initial=0.0) <= _MAX_ROOT / 4:
                 raise TrajectoryError(f"{path}:{lineno}: {traj.id!r} has a coordinate beyond ±{_MAX_ROOT / 4:.4g}")
+            if trajectories and traj.dt != trajectories[0].dt:
+                raise TrajectoryError(
+                    f"{path}:{lineno}: {traj.id!r} is sampled at dt={traj.dt}, the first record at dt={trajectories[0].dt}"
+                )
             trajectories.append(traj)
     return Dataset(trajectories=trajectories, tag=tag)
 

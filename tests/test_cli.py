@@ -145,7 +145,7 @@ class TestTrain:
         )
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert len(doc["patterns"]) >= 3
         assert "patterns" in capsys.readouterr().out
 
@@ -214,12 +214,12 @@ class TestTrain:
             ({"kernel": {"length_x": 2.0, "signal_sd": 1.0, "noise_sd": 0.4}}, "missing keys ['length_y']"),
             ({"kernel": {"length_x": float("nan"), "length_y": 2.0, "signal_sd": 1.0, "noise_sd": 0.4}},
              "length_x must be positive and finite"),
-            ({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cel": 1}}, "'cel'"),
-            ({"grid": {"x_min": float("nan"), "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1}}, "finite"),
-            ({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1e-320}},
-             "cell 1e-320 gives the grid 2**63 or more features"),
-            ({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1e-300}},
-             "cell 1e-300 gives the grid 2**63 or more features"),
+            # Train always fits the grid, with cells of grid_cell.
+            ({"grid": None}, "pipeline config: unknown keys ['grid']"),
+            ({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1.0}, "grid_cell": 3.0},
+             "pipeline config: unknown keys ['grid']"),
+            ({"grid_cell": 0.0}, "grid_cell must be positive and finite"),
+            ({"grid_cell": float("nan")}, "grid_cell must be positive and finite"),
             ({"t_pred": 0.2, "iters": 20}, "t_pred must be at least one step of dt, got 0.2 / 0.5"),
         ],
     )
@@ -247,6 +247,22 @@ class TestTrain:
         )
         assert rc == 3
         assert "grid cell 1e+308 pads the data bounds to [-1e+308, 1e+308]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_feature_budget_exits_3(self, workdir, tmp_path, capsys):
+        # 40 trajectories on millimetre cells would need a feature matrix of
+        # about 1e11 entries; train refuses right after fitting the grid.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid_cell": 0.001}))
+        out = tmp_path / "model.json"
+        rc = main(
+            ["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]),
+             "--out", str(out), "--config", str(path)]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "training failed: grid_cell 0.001 gives 40 trajectories x " in err
+        assert f"more than the budget of {2**26}" in err
         assert not out.exists()
 
     def test_non_finite_frame_exits_2(self, workdir, tmp_path, capsys):
@@ -286,6 +302,12 @@ def as_version_1(doc):
                          "atoms": doc.pop("atoms")}
     for rec in doc["patterns"]:
         rec["kernel"] = config["kernel"]
+
+
+def as_version_2(doc):
+    """The model file as version 2 wrote it: the config held the fixed-grid option, null."""
+    doc["version"] = 2
+    doc["config"]["grid"] = None
 
 
 class TestEvaluate:
@@ -380,13 +402,18 @@ class TestEvaluate:
             # round(0.25 / 0.5) is 0: Python rounds half to even.
             (lambda doc: doc["config"].update(t_pred=0.25),
              "t_pred must be at least one step of dt, got 0.25 / 0.5"),
+            (as_version_2, "unsupported model version 2"),
+            (lambda doc: doc["config"].update(grid=doc["grid"]), "pipeline config: unknown keys ['grid']"),
+            (lambda doc: doc["grid"].update(cell=0.5), "the grid has cell 0.5, config.grid_cell is 1.0"),
+            (lambda doc: doc["config"].update(grid_cell=3.0), "the grid has cell 1.0, config.grid_cell is 3.0"),
         ],
         ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
              "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-extra-key", "pattern-kernel",
              "version-1", "duplicate-pattern", "float-transition", "prior-weight",
              "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow",
              "grid-cells-overflow", "grid-features-overflow", "atom-norm-overflow", "curb-norm-overflow",
-             "pattern-input-overflow", "pattern-weight-overflow", "zero-step-horizon"],
+             "pattern-input-overflow", "pattern-weight-overflow", "zero-step-horizon",
+             "version-2", "config-grid", "grid-cell", "config-grid-cell"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())
@@ -404,7 +431,7 @@ class TestEvaluate:
         "doc, message",
         [
             ([], "model file must be a JSON object, got list"),
-            ({"version": 2}, "missing keys ['config', 'frame', 'grid', 'atoms'"),
+            ({"version": 3}, "missing keys ['config', 'frame', 'grid', 'atoms'"),
         ],
         ids=["list", "version-only"],
     )

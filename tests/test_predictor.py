@@ -83,10 +83,9 @@ class TestPipelineConfig:
         assert PipelineConfig(k_atoms=np.int64(4)).k_atoms == 4
 
     def test_dict_round_trip(self):
-        grid = GridSpec(-1.0, 4.0, -2.0, 3.0, 0.5)
-        cfg = PipelineConfig(k_atoms=5, kernel=Kernel(1.5, 2.5, 0.8, 0.3), grid=grid)
+        cfg = PipelineConfig(k_atoms=5, grid_cell=0.5, kernel=Kernel(1.5, 2.5, 0.8, 0.3))
         doc = json.loads(json.dumps(cfg.to_dict()))
-        assert doc["grid"] == {"x_min": -1.0, "x_max": 4.0, "y_min": -2.0, "y_max": 3.0, "cell": 0.5}
+        assert doc["kernel"] == {"length_x": 1.5, "length_y": 2.5, "signal_sd": 0.8, "noise_sd": 0.3}
         assert PipelineConfig.from_dict(doc) == cfg
 
     def test_missing_top_level_keys_take_defaults(self):
@@ -110,9 +109,11 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="kernel must be a JSON object"):
             PipelineConfig.from_dict({"kernel": None})
 
-    def test_missing_grid_key_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("grid: unknown keys [], missing keys ['cell']")):
-            PipelineConfig.from_dict({"grid": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1}})
+    @pytest.mark.parametrize("grid", [None, {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "cell": 1.0}])
+    def test_grid_key_rejected(self, grid):
+        # Train always fits the grid; its cell is grid_cell.
+        with pytest.raises(ValueError, match=re.escape("pipeline config: unknown keys ['grid']")):
+            PipelineConfig.from_dict({"grid": grid})
 
 
 class TestTrain:
@@ -209,7 +210,7 @@ class TestStackedFrontEnd:
     @pytest.mark.parametrize("mode", ["tasnsc", "baseline"])
     def test_dropped_trajectories_leave_the_model_unchanged(self, canonical_a, mode):
         data, frame = canonical_a
-        config = dataclasses.replace(PipelineConfig(mode=mode), grid=train(data, frame, PipelineConfig(mode=mode)).grid)
+        config = PipelineConfig(mode=mode)
         plain = train(data, frame, config)
         dt = data.dt
         resting = data.trajectories[3].xy[0]
@@ -219,6 +220,8 @@ class TestStackedFrontEnd:
         trajs = list(data.trajectories)
         padded = [empty, single] + trajs[:70] + [still, empty] + trajs[70:] + [single, still]
         model = train(Dataset(trajectories=padded), frame, config)
+        # The added points lie inside the data's bounds, so the fitted grids agree.
+        assert model.grid == plain.grid
         assert model.dictionary.atoms.tobytes() == plain.dictionary.atoms.tobytes()
         assert model.transitions.tobytes() == plain.transitions.tobytes()
         assert repr(model.final_objective) == repr(plain.final_objective)
@@ -250,8 +253,8 @@ class TestStackedFrontEnd:
         counts = [int(re.search(r": (\d+) segment midpoints", r.getMessage()).group(1)) for r in caplog.records]
         assert len(counts) > 1
         caplog.clear()
-        with caplog.at_level("WARNING"):
-            train(small_a["train"], frame, PipelineConfig(k_atoms=6, iters=40, grid=grid))
+        with caplog.at_level("WARNING"), mock.patch.object(predictor, "_fit_grid", return_value=grid):
+            train(small_a["train"], frame, PipelineConfig(k_atoms=6, iters=40))
         assert [r.getMessage() for r in caplog.records] == [
             f"{sum(counts)} segment midpoints outside grid bounds were clipped"
         ]
@@ -480,12 +483,14 @@ def with_small_guard_box(model, factor=0.25):
 
     The cell counts, and so the feature dimension, stay the same; only the
     rollouts read the grid at prediction time, so they leave the box sooner.
+    ``config.grid_cell`` follows the grid's cell.
     """
     g = model.grid
     cell = g.cell * factor
     cx, cy = 0.5 * (g.x_min + g.x_max), 0.5 * (g.y_min + g.y_max)
     hx, hy = 0.5 * g.nx * cell, 0.5 * g.ny * cell
-    return dataclasses.replace(model, grid=GridSpec(cx - hx, cx + hx, cy - hy, cy + hy, cell))
+    config = dataclasses.replace(model.config, grid_cell=cell)
+    return dataclasses.replace(model, grid=GridSpec(cx - hx, cx + hx, cy - hy, cy + hy, cell), config=config)
 
 
 def held_from(xy) -> int | None:
@@ -1017,7 +1022,7 @@ class TestModelChecks:
         "doc, message",
         [
             ([], "model file must be a JSON object, got list"),
-            ({"version": 2}, "model file: unknown keys [], missing keys ['config', 'frame', 'grid'"),
+            ({"version": 3}, "model file: unknown keys [], missing keys ['config', 'frame', 'grid'"),
         ],
         ids=["list", "version-only"],
     )

@@ -164,3 +164,13 @@ class TestDataset:
         path.write_text(f'{{"id": "a", "dt": 0.5, "points": [[0, 0, 0]]}}\n{{"id": "b", "dt": 0.5, "points": {points}}}\n')
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad trajectory record: ")):
             load_dataset(path)
+
+    def test_mixed_dt_names_the_line(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(
+            '{"id": "a", "dt": 0.5, "points": [[0, 0, 0], [0.5, 1, 0]]}\n'
+            '{"id": "b", "dt": 0.25, "points": [[0, 0, 0], [0.25, 1, 0]]}\n'
+        )
+        message = f"{path}:2: 'b' is sampled at dt=0.25, the first record at dt=0.5"
+        with pytest.raises(TrajectoryError, match=re.escape(message)):
+            load_dataset(path)
