@@ -96,7 +96,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     try:
         model = load_model(args.model)
-        dataset = load_dataset(args.data, tag="test")
+        dataset = load_dataset(args.data)
         frame = load_frame(args.frame)
     except _CONFIG_ERRORS as exc:
         return _fail(EXIT_CONFIG, str(exc))
@@ -118,7 +118,7 @@ def _cmd_evaluate(args) -> int:
         for observed, truth, pset in collected:
             name = observed.id.replace("/", "_") + ".csv"
             write_candidate_csv(os.path.join(args.emit_plots, name), observed, truth, pset)
-    print(format_table([report.table_row(model.config.mode, "-", dataset.tag)]))
+    print(format_table([report.table_row(model.config.mode, "-", "test")]))
     return EXIT_OK
 
 
@@ -126,9 +126,9 @@ def _cmd_compare(args) -> int:
     try:
         config = _load_config(args)
         train_a = load_dataset(args.train_a)
-        test_a = load_dataset(args.test_a, tag="test")
+        test_a = load_dataset(args.test_a)
         train_b = load_dataset(args.train_b)
-        test_b = load_dataset(args.test_b, tag="test")
+        test_b = load_dataset(args.test_b)
         frame_a = load_frame(args.frame_a)
         frame_b = load_frame(args.frame_b)
     except _CONFIG_ERRORS as exc:

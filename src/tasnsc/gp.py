@@ -64,7 +64,7 @@ _MAX_ROOT = float(np.sqrt(np.finfo(float).max))
 
 
 class GPFitError(ValueError):
-    """Raised when the regularized kernel matrix is not positive definite."""
+    """Raised when a GP has no (n, 2) inputs or its regularized kernel matrix is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,14 @@ class GPModel:
     """
 
     def __init__(self, inputs, targets, kernel: Kernel):
-        inputs = np.asarray(inputs, dtype=float).reshape(-1, 2)
-        if len(inputs) == 0:
-            raise GPFitError("GP fit needs at least one training point")
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.shape[1:] != (2,) or len(inputs) == 0:
+            raise GPFitError(f"GP inputs must be (n, 2) with at least one training point, got shape {inputs.shape}")
         if not np.all(np.isfinite(inputs)):
             raise ValueError("GP training data contains non-finite values")
-        targets = np.atleast_1d(np.asarray(targets, dtype=float))
-        if targets.ndim > 2:
-            raise ValueError(f"GP targets must be (n,) or (n, d), got shape {targets.shape}")
-        if len(targets) != len(inputs):
-            raise ValueError("inputs and targets lengths differ")
+        targets = np.asarray(targets, dtype=float)
+        if not 1 <= targets.ndim <= 2 or len(targets) != len(inputs):
+            raise ValueError(f"GP targets must be (n,) or (n, d) with n = {len(inputs)}, got shape {targets.shape}")
         if not np.all(np.isfinite(targets)):
             raise ValueError("GP training data contains non-finite values")
         # Scaled differences stay below _MAX_ROOT / 2, so their squares are finite.
@@ -260,22 +258,23 @@ def pattern_log_likelihood(pattern: MotionPattern, samples, counts) -> np.ndarra
 class PatternTable:
     """A model's patterns, stacked once for :func:`log_likelihood_bounds`.
 
-    ``patterns`` is the tuple of patterns. Rows ``offsets[p]:offsets[p + 1]``
-    of ``inputs`` and ``alpha`` (column-contiguous, (n, 2) each) are pattern
-    p's GP inputs and weights, bitwise. ``kernel`` is every flow's kernel
-    (None for no patterns; differing kernels raise :class:`ValueError`),
-    ``sizes`` a plain list of the flows' sizes, and ``log_prior`` (P,) the
-    log prior weights. Read-only after construction.
+    ``patterns`` is the tuple of patterns, at least one, and ``kernel`` the
+    GP kernel every flow was fit with; either rule broken raises
+    :class:`ValueError`. Rows ``offsets[p]:offsets[p + 1]`` of ``inputs``
+    and ``alpha`` (column-contiguous, (n, 2) each) are pattern p's GP inputs
+    and weights, bitwise. ``sizes`` is a plain list of the flows' sizes, and
+    ``log_prior`` (P,) the log prior weights. Read-only after construction.
     """
 
     __slots__ = ("patterns", "kernel", "sizes", "offsets", "inputs", "alpha", "log_prior")
 
-    def __init__(self, patterns):
-        self.patterns = tuple(patterns)
+    def __init__(self, patterns, kernel: Kernel):
+        self.patterns, self.kernel = tuple(patterns), kernel
         flows = [p.flow for p in self.patterns]
-        self.kernel = flows[0].kernel if flows else None
-        if any(f.kernel != self.kernel for f in flows):
-            raise ValueError("a pattern table takes one GP kernel, its patterns have several")
+        if not flows:
+            raise ValueError("no motion patterns: a pattern table needs at least one")
+        if others := {f.kernel for f in flows} - {kernel}:
+            raise ValueError(f"the patterns must be fit with GP kernel {kernel}, not {', '.join(map(str, others))}")
         self.sizes = [len(f) for f in flows]
         self.offsets = np.cumsum([0] + self.sizes)
         # The kernel reads whole columns; column-contiguous copies read each

@@ -35,13 +35,14 @@ __all__ = [
 
 
 def _points(seq) -> np.ndarray:
-    if isinstance(seq, Trajectory):
-        return seq.xy
-    return np.asarray(seq, dtype=float).reshape(-1, 2)
+    points = seq.xy if isinstance(seq, Trajectory) else np.asarray(seq, dtype=float)
+    if points.shape[1:] != (2,):
+        raise ValueError(f"a point sequence must be (n, 2), got shape {points.shape}")
+    return points
 
 
 def mhd(a, b) -> float:
-    """Modified Hausdorff Distance between two point sequences (meters).
+    """Modified Hausdorff Distance between two point sequences, (n, 2) arrays or trajectories (meters).
 
     The larger of the two directed mean nearest-neighbor distances.
     """

@@ -80,9 +80,10 @@ MODES = ("tasnsc", "baseline")
 
 _INT_FIELDS = ("k_atoms", "iters", "min_segment", "top_m", "max_gp_points", "seed")
 
-# Most (trajectory, feature) entries train's dense feature matrix may hold:
-# 512 MiB of float64. Paper scale needs at most 150 x 2520.
-_MAX_FEATURE_ENTRIES = 2**26
+# Most entries train's dense arrays may hold, 512 MiB of float64 each: the
+# (trajectory, feature) matrix and the dictionary's (K, dim) and (K, K)
+# arrays. Paper scale needs at most 150 x 2520 and 12 x 2520.
+_MAX_DENSE_ENTRIES = 2**26
 
 
 class PipelineError(RuntimeError):
@@ -155,7 +156,7 @@ class TasnscModel:
     once here, so ``train``, ``load_model`` and ``dataclasses.replace`` each
     give a model its own, and every prediction reads it. Its dictionary has
     ``config.k_atoms`` atoms, its grid has cells of ``config.grid_cell``, and
-    its flows are fit with ``config.kernel``.
+    it has patterns, at least one, all fit with ``config.kernel``.
     """
 
     frame: CurbsideFrame
@@ -199,9 +200,7 @@ class TasnscModel:
                     f"pattern {pat.atoms} has prior weight {pat.prior_weight!r}, "
                     f"its transitions give {want!r}"
                 )
-        object.__setattr__(self, "table", PatternTable(self.patterns))
-        if self.patterns and self.table.kernel != self.config.kernel:
-            raise ValueError(f"the patterns' GP kernel is {self.table.kernel}, config.kernel is {self.config.kernel}")
+        object.__setattr__(self, "table", PatternTable(self.patterns, self.config.kernel))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -290,8 +289,8 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     ``frame`` is the curbside frame of the training intersection, expressed
     in the same local coordinates as the data. The grid is fit to the
     curbside points with cells of ``config.grid_cell``, padded by one cell;
-    a grid whose feature matrix would hold more than ``_MAX_FEATURE_ENTRIES``
-    entries raises :class:`PipelineError`. A trajectory with fewer than 2
+    a feature matrix or dictionary arrays of more than ``_MAX_DENSE_ENTRIES``
+    entries raise :class:`PipelineError`. A trajectory with fewer than 2
     points or no motion is dropped after the grid is fit.
     """
     config = config if config is not None else PipelineConfig()
@@ -300,10 +299,16 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     _check_dt(dataset.dt, config, "training data")
     xy, offsets = curbside_stack(_effective_frame(frame, config.mode), dataset.trajectories)
     grid = _fit_grid(xy, config.grid_cell)
-    if (entries := len(dataset) * grid.dim) > _MAX_FEATURE_ENTRIES:  # Python ints: no overflow
+    if (entries := len(dataset) * grid.dim) > _MAX_DENSE_ENTRIES:  # Python ints: no overflow
         raise PipelineError(
             f"grid_cell {config.grid_cell} gives {len(dataset)} trajectories x {grid.dim} features = "
-            f"{entries} feature entries, more than the budget of {_MAX_FEATURE_ENTRIES}"
+            f"{entries} feature entries, more than the budget of {_MAX_DENSE_ENTRIES}"
+        )
+    k = int(config.k_atoms)  # a numpy integer's product could wrap
+    if (entries := k * max(grid.dim, k)) > _MAX_DENSE_ENTRIES:
+        raise PipelineError(
+            f"k_atoms {config.k_atoms} with {grid.dim} grid features gives dictionary arrays of {entries} entries, "
+            f"more than the budget of {_MAX_DENSE_ENTRIES}"
         )
 
     votes = pair_votes(xy, offsets, dataset.dt, grid)
@@ -452,8 +457,6 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     whose curbside samples are not finite or square past the largest float,
     or whose likelihood underflows to zero under every pattern.
     """
-    if not model.patterns:
-        raise PipelineError("model has no motion patterns")
     cfg = model.config
     for observed in observations:
         _check_dt(observed.dt, cfg, f"observation {observed.id!r}")

@@ -171,7 +171,9 @@ def pair_votes(xy, offsets, dt: float, grid: GridSpec) -> PairVotes:
     meaningless. Every stage is elementwise, so a trajectory's votes are
     the same bits stacked or alone.
     """
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    xy = np.asarray(xy, dtype=float)
+    if xy.shape[1:] != (2,):
+        raise ValueError(f"stacked points must be (N, 2), got shape {xy.shape}")
     offsets = np.asarray(offsets, dtype=int)
     owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     vx, vy = (np.diff(xy, axis=0) / dt).T

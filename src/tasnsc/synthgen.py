@@ -32,6 +32,9 @@ __all__ = ["INTENTS", "SceneSpec", "generate", "scene_a", "scene_b", "load_scene
 INTENTS = ("straight", "left", "right")
 
 _DENSE_STEP = 0.02  # m, resolution of the arc-length lookup table
+# Most points an intent path's lookup table may hold: 2**20 points at 2 cm
+# cover ≈ 21 km, and the canonical paths need ≈ 1000.
+_MAX_PATH_POINTS = 2**20
 _MIN_SPEED = 0.1  # m/s, floor under the per-step speed draw
 
 
@@ -131,7 +134,8 @@ def _intent_paths(scene: SceneSpec, names) -> dict:
 
     Raises :class:`ValueError` if a path has a point or a length that is
     not finite, or a leg that rounding shrinks to zero length: its samples
-    could not be spaced along it.
+    could not be spaced along it. A path whose table would hold more than
+    ``_MAX_PATH_POINTS`` points raises before the table is built.
     """
     frame = scene.frame()
     paths = {}
@@ -142,6 +146,12 @@ def _intent_paths(scene: SceneSpec, names) -> dict:
             waypoints = from_curbside(frame, _intent_waypoints(scene, name))
             legs = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
             ok = np.all((0 < legs) & (legs < np.inf))
+            if ok and not (length := float(legs.sum())) <= _MAX_PATH_POINTS * _DENSE_STEP:
+                raise ValueError(
+                    f"the scene's {name} path is {length:.4g} m long, more than the "
+                    f"{_MAX_PATH_POINTS * _DENSE_STEP:.4g} m that {_MAX_PATH_POINTS} lookup points, one per "
+                    f"{_DENSE_STEP} m, cover"
+                )
             if ok:
                 paths[name] = _dense_path(waypoints, scene.blend_len)
                 ok = paths[name][0][-1] < np.inf
@@ -209,7 +219,7 @@ def generate(scene: SceneSpec, n: int, dt: float = 0.5, tag: str = "train") -> D
         trajectories.append(
             Trajectory(id=f"{tag}-{i:04d}-{intent}", dt=dt, times=times, xy=xy, intent=str(intent))
         )
-    return Dataset(trajectories=trajectories, tag=tag)
+    return Dataset(trajectories=trajectories)
 
 
 def scene_a(seed: int = 7) -> SceneSpec:

@@ -61,10 +61,8 @@ class Trajectory:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise TrajectoryError(f"dt must be positive and finite, got {self.dt}")
         times, xy = _frozen(self.times), _frozen(self.xy)
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            xy = xy.reshape(-1, 2)
-        if times.shape != (len(xy),):
-            raise TrajectoryError("times and xy lengths differ")
+        if xy.shape[1:] != (2,) or times.shape != xy.shape[:1]:
+            raise TrajectoryError(f"{self.id!r} needs times (n,) and xy (n, 2), got {times.shape} and {xy.shape}")
         if not (np.isfinite(times).all() and np.isfinite(xy).all()):
             raise TrajectoryError(f"{self.id!r} has non-finite timestamps or positions")
         if len(times) >= 2:
@@ -92,9 +90,11 @@ class Trajectory:
         return np.column_stack((self.times, self.xy))
 
     @classmethod
-    def from_points(cls, id: str, dt: float, points, intent: str | None = None) -> "Trajectory":
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        return cls(id=id, dt=dt, times=pts[:, 0], xy=pts[:, 1:], intent=intent)
+    def from_points(cls, id: str, dt: float, points) -> "Trajectory":
+        pts = np.asarray(points if len(points) else np.empty((0, 3)), dtype=float)  # JSON [] is the zero-point trajectory
+        if pts.shape[1:] != (3,):
+            raise ValueError(f"points must be rows (t, x, y), got shape {pts.shape}")
+        return cls(id=id, dt=dt, times=pts[:, 0], xy=pts[:, 1:])
 
 
 @dataclass(eq=False)
@@ -102,7 +102,6 @@ class Dataset:
     """A bag of trajectories sharing one sampling interval."""
 
     trajectories: list
-    tag: str = "train"
 
     def __post_init__(self):
         dts = {t.dt for t in self.trajectories}
@@ -163,7 +162,7 @@ def split_horizon(traj: Trajectory, t_obs: float, t_pred: float) -> tuple[Trajec
     return observed, future
 
 
-def load_dataset(path, tag: str = "train") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a JSON-lines dataset file of one ``dt``; errors name ``path:line``, and ``sqrt(float max) / 4`` bounds coordinates."""
     trajectories = []
     with open(path) as fh:
@@ -186,7 +185,7 @@ def load_dataset(path, tag: str = "train") -> Dataset:
                     f"{path}:{lineno}: {traj.id!r} is sampled at dt={traj.dt}, the first record at dt={trajectories[0].dt}"
                 )
             trajectories.append(traj)
-    return Dataset(trajectories=trajectories, tag=tag)
+    return Dataset(trajectories=trajectories)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -87,6 +87,16 @@ class TestGenerate:
         assert rc == 2
         assert f"the scene's {path} path has a non-finite point or length" in capsys.readouterr().err
 
+    def test_path_past_the_point_budget_exits_2(self, workdir, tmp_path, capsys):
+        # Finite, but the straight path's lookup table would hold 5e13 points.
+        cfg = json.loads(workdir["scene_a"].read_text())
+        cfg["exit_len"] = 1e12
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(cfg))
+        rc = main(["generate", "--scene", str(scene), "--n", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "the scene's straight path is 1e+12 m long, more than the 2.097e+04 m" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["speed_mean", "speed_sd"])
     def test_unbounded_speed_exits_2(self, workdir, tmp_path, capsys, key):
         # A speed sd of 1e308 overflowed the walk's running sum; a mean of
@@ -265,6 +275,22 @@ class TestTrain:
         assert f"more than the budget of {2**26}" in err
         assert not out.exists()
 
+    def test_dictionary_budget_exits_3(self, workdir, tmp_path, capsys):
+        # 100000 atoms would need a (K, K) array of 1e10 entries; train
+        # refuses before learning the dictionary.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k_atoms": 100000, "iters": 1}))
+        out = tmp_path / "model.json"
+        rc = main(
+            ["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]),
+             "--out", str(out), "--config", str(path)]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "training failed: k_atoms 100000 with " in err
+        assert f"dictionary arrays of 10000000000 entries, more than the budget of {2**26}" in err
+        assert not out.exists()
+
     def test_non_finite_frame_exits_2(self, workdir, tmp_path, capsys):
         frame = tmp_path / "frame.json"
         frame.write_text('{"origin": [NaN, 0], "curb1": [1, 0], "curb2": [0, 1]}')
@@ -406,6 +432,8 @@ class TestEvaluate:
             (lambda doc: doc["config"].update(grid=doc["grid"]), "pipeline config: unknown keys ['grid']"),
             (lambda doc: doc["grid"].update(cell=0.5), "the grid has cell 0.5, config.grid_cell is 1.0"),
             (lambda doc: doc["config"].update(grid_cell=3.0), "the grid has cell 1.0, config.grid_cell is 3.0"),
+            # Loading rejects it, not the first prediction.
+            (lambda doc: doc.update(patterns=[]), "no motion patterns: a pattern table needs at least one"),
         ],
         ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
              "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-extra-key", "pattern-kernel",
@@ -413,7 +441,7 @@ class TestEvaluate:
              "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow",
              "grid-cells-overflow", "grid-features-overflow", "atom-norm-overflow", "curb-norm-overflow",
              "pattern-input-overflow", "pattern-weight-overflow", "zero-step-horizon",
-             "version-2", "config-grid", "grid-cell", "config-grid-cell"],
+             "version-2", "config-grid", "grid-cell", "config-grid-cell", "no-patterns"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())
@@ -444,6 +472,27 @@ class TestEvaluate:
         )
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "regroup, shape",
+        [(lambda rows: [v for row in rows for v in row], lambda n: f"({2 * n},)"),
+         (lambda rows: [row + [0.0] for row in rows], lambda n: f"({n}, 3)")],
+        ids=["flat-inputs", "three-column-inputs"],
+    )
+    def test_reshaped_pattern_inputs_exit_2(self, workdir, model_a_path, tmp_path, capsys, regroup, shape):
+        doc = json.loads(model_a_path.read_text())
+        rec = doc["patterns"][0]
+        n = len(rec["inputs"])
+        rec["inputs"] = regroup(rec["inputs"])
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            ["evaluate", "--model", str(bad), "--data", str(workdir["test_a"]),
+             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
+        )
+        assert rc == 2
+        message = f"pattern {tuple(rec['atoms'])}: GP inputs must be (n, 2) with at least one training point"
+        assert f"{message}, got shape {shape(n)}" in capsys.readouterr().err
 
     def test_dt_mismatch_exits_3(self, workdir, model_a_path, tmp_path, capsys):
         data = tmp_path / "quarter.jsonl"
@@ -551,6 +600,20 @@ class TestDatasetReader:
         }[command]
         assert main(argv) == 2
         assert f"{data}:2: {doc['id']!r} has a coordinate beyond ±3.352e+153" in capsys.readouterr().err
+
+    def test_points_regrouped_in_twos_exit_2(self, workdir, tmp_path, capsys):
+        # The first record cut to an even number of points, its numbers
+        # regrouped as rows of two: as many numbers, another shape.
+        lines = workdir["train_a"].read_text().splitlines()
+        doc = json.loads(lines[0])
+        numbers = [v for row in doc["points"][: len(doc["points"]) // 2 * 2] for v in row]
+        doc["points"] = [numbers[i : i + 2] for i in range(0, len(numbers), 2)]
+        lines[0] = json.dumps(doc)
+        data = tmp_path / "twos.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--data", str(data), "--frame", str(workdir["frame_a"]), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert f"{data}:1: bad trajectory record: points must be rows (t, x, y), got shape (" in capsys.readouterr().err
 
 
 class TestUsage:

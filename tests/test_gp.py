@@ -327,10 +327,19 @@ class TestVectorGP:
         _, var = posterior(fit(pts, rng.normal(size=30), k), q)
         assert np.max(np.abs(var - np.maximum(want, 0.0))) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 1, 2)])
+    def test_input_shape_checked(self, shape):
+        # A flat [x0, y0, x1, y1] is not read as two points.
+        message = f"GP inputs must be (n, 2) with at least one training point, got shape {shape}"
+        with pytest.raises(GPFitError, match=re.escape(message)):
+            fit(np.arange(math.prod(shape), dtype=float).reshape(shape), [1.0, 2.0], Kernel())
+
     def test_target_shape_checked(self):
+        with pytest.raises(ValueError, match=re.escape("GP targets must be (n,) or (n, d) with n = 1, got shape ()")):
+            fit([[0.0, 0.0]], 1.0, Kernel())
         with pytest.raises(ValueError, match=r"\(n,\) or \(n, d\)"):
             fit([[0.0, 0.0], [1.0, 0.0]], np.zeros((2, 2, 1)), Kernel())
-        with pytest.raises(ValueError, match="lengths differ"):
+        with pytest.raises(ValueError, match=re.escape("(n,) or (n, d) with n = 2, got shape (3, 2)")):
             fit([[0.0, 0.0], [1.0, 0.0]], np.zeros((3, 2)), Kernel())
         with pytest.raises(ValueError, match="non-finite"):
             fit([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [np.inf, 0.0]], Kernel())
@@ -441,7 +450,7 @@ class TestLogLikelihoodBounds:
     @given(case=random_patterns())
     def test_bounds_every_exact_score(self, case):
         patterns, samples, counts = case
-        bounds = log_likelihood_bounds(PatternTable(patterns), samples, counts)
+        bounds = log_likelihood_bounds(PatternTable(patterns, patterns[0].flow.kernel), samples, counts)
         assert bounds.shape == (len(patterns), len(counts))
         for pattern, bound in zip(patterns, bounds):
             assert np.all(bound >= pattern_log_likelihood(pattern, samples, counts))
@@ -454,7 +463,7 @@ class TestLogLikelihoodBounds:
         pat = MotionPattern(atoms=(0, 0), flow=flow, prior_weight=0.5)
         samples = np.array([[-17.739641748334012, -1.3799791139092763, 1.2978425747991162, 4.1182284532493405]])
         exact = pattern_log_likelihood(pat, samples, [1])
-        assert log_likelihood_bounds(PatternTable([pat]), samples, [1])[0] >= exact
+        assert log_likelihood_bounds(PatternTable([pat], kernel), samples, [1])[0] >= exact
 
     def test_exact_up_to_margin_far_from_the_inputs(self):
         # k* is 0 there, so the variance interval is one point and the
@@ -462,7 +471,7 @@ class TestLogLikelihoodBounds:
         pat = make_pattern(lambda p: (np.sin(p[:, 1]), 0.5 * p[:, 0]), prior=0.3)
         samples = np.array([[1e3, 0.0, 0.4, -0.2], [1e3, 5.0, 1.1, 0.3], [-2e3, 1e3, 0.0, 2.0]])
         exact = pattern_log_likelihood(pat, samples, [2, 1])
-        bound = log_likelihood_bounds(PatternTable([pat]), samples, [2, 1])[0]
+        bound = log_likelihood_bounds(PatternTable([pat], pat.flow.kernel), samples, [2, 1])[0]
         assert np.all(exact <= bound) and np.all(bound <= exact + 1e-8 * (1.0 + np.abs(exact)))
 
     def test_blocks_equal_each_pattern_alone(self):
@@ -476,8 +485,8 @@ class TestLogLikelihoodBounds:
         ]
         samples = rng.uniform(-3, 3, (6, 4))
         counts = [2, 0, 4]
-        table = PatternTable(patterns)
-        alone = np.vstack([log_likelihood_bounds(PatternTable([p]), samples, counts) for p in patterns])
+        table = PatternTable(patterns, kernel)
+        alone = np.vstack([log_likelihood_bounds(PatternTable([p], kernel), samples, counts) for p in patterns])
         together = log_likelihood_bounds(table, samples, counts)
         assert np.allclose(together, alone, rtol=1e-13, atol=0.0)
         assert list(gp_module._kernel_runs(table, 14)) == [(0, 2), (2, 5), (5, 6)]
@@ -503,14 +512,14 @@ class TestLogLikelihoodBounds:
         monkeypatch.setattr(gp_module, "kernel_matrix", recording)
         for n_samples, want in ((4, [1045]), (100, [300, 120, 310, 315]), (400, [300, 120, 250, 60, 300, 15])):
             widths.clear()
-            log_likelihood_bounds(PatternTable(patterns), rng.uniform(-9, 9, (n_samples, 4)), [n_samples])
+            log_likelihood_bounds(PatternTable(patterns, kernel), rng.uniform(-9, 9, (n_samples, 4)), [n_samples])
             assert widths == want
 
     def test_overflowing_residual_bound_is_inf(self):
         pat = make_pattern(lambda p: (np.ones(len(p)), np.zeros(len(p))))
         samples = np.array([[0.0, 0.0, 1e200, 0.0], [0.0, 0.0, 1.0, 0.0]])
         with np.errstate(over="ignore"):
-            bounds = log_likelihood_bounds(PatternTable([pat]), samples, [1, 1])
+            bounds = log_likelihood_bounds(PatternTable([pat], pat.flow.kernel), samples, [1, 1])
         assert bounds[0, 0] == np.inf and np.isfinite(bounds[0, 1])
 
 
@@ -523,7 +532,7 @@ class TestPatternTable:
                           prior_weight=w)
             for p, (n, kernel, w) in enumerate(zip((5, 1, 9), kernels, (0.5, 0.3, 0.2)))
         ]
-        table = PatternTable(patterns)
+        table = PatternTable(patterns, Kernel(1.0, 2.0, 1.0, 0.3))
         assert table.patterns == tuple(patterns) and len(table) == 3
         assert table.kernel == Kernel(1.0, 2.0, 1.0, 0.3)
         assert table.sizes == [5, 1, 9] and list(table.offsets) == [0, 5, 6, 15]
@@ -541,13 +550,13 @@ class TestPatternTable:
                           prior_weight=0.5)
             for p, kernel in enumerate([Kernel(1.0, 2.0, 1.0, 0.3), Kernel(1.0, 2.0, 1.0, 0.3000000000000001)])
         ]
-        with pytest.raises(ValueError, match="a pattern table takes one GP kernel, its patterns have several"):
-            PatternTable(patterns)
+        message = f"the patterns must be fit with GP kernel {patterns[0].flow.kernel}, not {patterns[1].flow.kernel}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PatternTable(patterns, patterns[0].flow.kernel)
 
     def test_empty(self):
-        table = PatternTable([])
-        assert len(table) == 0 and table.inputs.shape == (0, 2) and table.alpha.shape == (0, 2)
-        assert table.kernel is None
+        with pytest.raises(ValueError, match="no motion patterns: a pattern table needs at least one"):
+            PatternTable([], Kernel())
 
 
 class TestFitReach:

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestMHD:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mhd(np.empty((0, 2)), [[0, 0]])
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 1, 2), (2, 3)])
+    def test_other_shapes_rejected(self, shape):
+        # A flat [x0, y0, x1, y1] is not read as two points.
+        with pytest.raises(ValueError, match=re.escape(f"a point sequence must be (n, 2), got shape {shape}")):
+            mhd(np.zeros(shape), [[0.0, 0.0], [1.0, 0.0]])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -160,7 +167,7 @@ class TestEvaluate:
 
     def test_training_set_not_worse(self, model_a, small_a):
         train_subset = type(small_a["train"])(
-            trajectories=small_a["train"].trajectories[:12], tag="train"
+            trajectories=small_a["train"].trajectories[:12]
         )
         on_train = evaluate(model_a, train_subset, small_a["frame"])
         on_test = evaluate(model_a, small_a["test"], small_a["frame"])

@@ -687,7 +687,8 @@ class TestTopPatterns:
         obs = observations(small_a["test"])
         rows = scoring_rows(small_a["frame"], obs)
         for patterns in (model_a.patterns[:1], model_a.patterns[:2]):
-            order, scores = predictor._top_patterns(PatternTable(patterns), rows[0], np.array([len(rows[0])]), 3)
+            table = PatternTable(patterns, model_a.config.kernel)
+            order, scores = predictor._top_patterns(table, rows[0], np.array([len(rows[0])]), 3)
             want_order, want_scores = exhaustive_top_patterns(patterns, rows[0], [len(rows[0])], 3)
             assert order.shape == (len(patterns), 1) and np.array_equal(order, want_order)
             assert scores.tobytes() == want_scores.tobytes()
@@ -775,7 +776,7 @@ class TestModelTable:
 
     def test_pattern_kernel_other_than_the_config_kernel_rejected(self, model_a):
         other = dataclasses.replace(model_a.config, kernel=Kernel(noise_sd=0.3))
-        message = f"the patterns' GP kernel is {model_a.config.kernel}, config.kernel is {other.kernel}"
+        message = f"the patterns must be fit with GP kernel {other.kernel}, not {model_a.config.kernel}"
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(model_a, config=other)
 

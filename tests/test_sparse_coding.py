@@ -572,6 +572,11 @@ class TestStackedParity:
         expected = [segment(trajs[t], ORACLE_DICT, ORACLE_GRID, min_len) for t in kept]
         assert sparse_coding.segment_stack(votes, ORACLE_DICT, min_len, kept) == expected
 
+    def test_flat_points_rejected(self):
+        xy, offsets = stacked([_ALL_CASES])
+        with pytest.raises(ValueError, match=r"stacked points must be \(N, 2\), got shape \(\d+,\)"):
+            sparse_coding.pair_votes(xy.ravel(), offsets, 0.5, ORACLE_GRID)
+
     def test_short_trajectory_not_segmented(self):
         xy, offsets = stacked([_ALL_CASES, _SHORT[1]])
         votes = sparse_coding.pair_votes(xy, offsets, 0.5, ORACLE_GRID)

@@ -8,6 +8,8 @@ import pytest
 from tasnsc.geometry import from_curbside, to_curbside
 from tasnsc.gp import _MAX_ROOT
 from tasnsc.synthgen import (
+    _DENSE_STEP,
+    _MAX_PATH_POINTS,
     _MIN_SPEED,
     SceneSpec,
     _dense_path,
@@ -52,6 +54,13 @@ class TestSceneSpec:
         for fields in ({"speed_mean": bound, "speed_sd": 1e150}, {"speed_mean": 1e308}, {"speed_sd": 1e308}):
             with pytest.raises(ValueError, match=re.escape(f"speed_mean + 3 * speed_sd <= {bound:.4g} m/s")):
                 SceneSpec(**fields)
+
+    @pytest.mark.parametrize("fields", [{"exit_len": 1e12}, {"approach_len": 1e6}, {"exit_len": 3e4}])
+    def test_path_point_budget(self, fields):
+        # Rejected before the lookup table is built, so nothing is allocated.
+        message = f"more than the {_MAX_PATH_POINTS * _DENSE_STEP:.4g} m that {_MAX_PATH_POINTS} lookup points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SceneSpec(**fields)
 
     def test_nan_intent_proportion_rejected(self):
         with pytest.raises(ValueError, match="intent proportions"):

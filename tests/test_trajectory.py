@@ -61,8 +61,21 @@ class TestTrajectory:
         assert not np.shares_memory(copied.times, writable) and not np.shares_memory(copied.xy, traj.xy)
         writable[0] = -1.0
         assert copied.times[0] == 0.0
-        flat = Trajectory(id="flat", dt=0.5, times=[0.0, 0.5], xy=[1.0, 2.0, 3.0, 4.0])
-        assert flat.xy.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "times, xy, shapes",
+        [
+            ([0.0, 0.5], [1.0, 2.0, 3.0, 4.0], "(2,) and (4,)"),
+            ([0.0, 0.5], [[[1.0, 2.0]], [[3.0, 4.0]]], "(2,) and (2, 1, 2)"),
+            ([0.0, 0.5], [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]], "(2,) and (2, 3)"),
+            ([0.0, 0.5, 1.0], [[1.0, 2.0], [3.0, 4.0]], "(3,) and (2, 2)"),
+            ([[0.0], [0.5]], [[1.0, 2.0], [3.0, 4.0]], "(2, 1) and (2, 2)"),
+        ],
+        ids=["flat-xy", "nested-xy", "three-columns", "lengths-differ", "column-times"],
+    )
+    def test_other_shapes_rejected(self, times, xy, shapes):
+        with pytest.raises(TrajectoryError, match=re.escape(f"'s' needs times (n,) and xy (n, 2), got {shapes}")):
+            Trajectory(id="s", dt=0.5, times=times, xy=xy)
 
 
 class TestVelocities:
@@ -134,7 +147,7 @@ class TestDataset:
             Dataset(trajectories=[walk(dt=0.5), walk(dt=0.25)])
 
     def test_jsonl_round_trip(self, tmp_path):
-        ds = Dataset(trajectories=[walk(id="a"), walk(id="b", vy=0.3)], tag="train")
+        ds = Dataset(trajectories=[walk(id="a"), walk(id="b", vy=0.3)])
         path = tmp_path / "data.jsonl"
         save_dataset(ds, path)
         back = load_dataset(path)
@@ -157,13 +170,28 @@ class TestDataset:
             load_dataset(path)
 
     @pytest.mark.parametrize(
-        "points", ["[[0, 0, 0], [0.5, 1]]", "[[0, 0], [0.5, 1]]"], ids=["ragged", "two-columns"]
+        "points, detail",
+        [
+            ("[[0, 0, 0], [0.5, 1]]", ""),
+            ("[[0, 0], [0.5, 1]]", "points must be rows (t, x, y), got shape (2, 2)"),
+            # The six numbers of two good rows, regrouped.
+            ("[[0, 0], [0, 0.5], [1, 0]]", "points must be rows (t, x, y), got shape (3, 2)"),
+            ("[0, 0, 0, 0.5, 1, 0]", "points must be rows (t, x, y), got shape (6,)"),
+            ("[[[0, 0, 0]], [[0.5, 1, 0]]]", "points must be rows (t, x, y), got shape (2, 1, 3)"),
+        ],
+        ids=["ragged", "two-columns", "three-rows-of-two", "flat", "nested"],
     )
-    def test_malformed_points_name_the_line(self, tmp_path, points):
+    def test_malformed_points_name_the_line(self, tmp_path, points, detail):
         path = tmp_path / "bad.jsonl"
         path.write_text(f'{{"id": "a", "dt": 0.5, "points": [[0, 0, 0]]}}\n{{"id": "b", "dt": 0.5, "points": {points}}}\n')
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad trajectory record: ")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad trajectory record: {detail}")):
             load_dataset(path)
+
+    def test_empty_points_load_as_a_zero_point_trajectory(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text('{"id": "a", "dt": 0.5, "points": []}\n')
+        (traj,) = load_dataset(path)
+        assert traj.times.shape == (0,) and traj.xy.shape == (0, 2)
 
     def test_mixed_dt_names_the_line(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
