@@ -18,7 +18,7 @@ local-frame learning with no transfer.
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -74,15 +74,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 MODES = ("tasnsc", "baseline")
 
 _INT_FIELDS = ("k_atoms", "iters", "min_segment", "top_m", "max_gp_points", "seed")
 
 # Most entries train's dense arrays may hold, 512 MiB of float64 each: the
-# (trajectory, feature) matrix and the dictionary's (K, dim) and (K, K)
-# arrays. Paper scale needs at most 150 x 2520 and 12 x 2520.
+# (trajectory, voted feature) matrix and the dictionary's (K, m) and (K, K)
+# arrays, for m voted features. Paper scale needs at most 150 x 147 and 12 x 147.
 _MAX_DENSE_ENTRIES = 2**26
 
 
@@ -156,12 +156,14 @@ class TasnscModel:
     once here, so ``train``, ``load_model`` and ``dataclasses.replace`` each
     give a model its own, and every prediction reads it. Its dictionary has
     ``config.k_atoms`` atoms, its grid has cells of ``config.grid_cell``, and
-    it has patterns, at least one, all fit with ``config.kernel``.
+    it has patterns, at least one, all fit with ``config.kernel``. Atom entry
+    ``[k, c]`` is grid feature ``columns[c]``; the features no vote reached are zero.
     """
 
     frame: CurbsideFrame
     grid: GridSpec
     dictionary: Dictionary
+    columns: np.ndarray
     transitions: np.ndarray
     patterns: list
     config: PipelineConfig
@@ -174,11 +176,15 @@ class TasnscModel:
             raise ValueError(f"the dictionary has {k} atoms, config.k_atoms is {self.config.k_atoms}")
         if self.grid.cell != self.config.grid_cell:
             raise ValueError(f"the grid has cell {self.grid.cell!r}, config.grid_cell is {self.config.grid_cell!r}")
-        if self.dictionary.atoms.shape[1] != self.grid.dim:
-            raise ValueError(
-                f"dictionary atoms have dimension {self.dictionary.atoms.shape[1]}, "
-                f"the grid has {self.grid.dim} features"
-            )
+        columns = np.array(self.columns)  # a copy, made read-only below
+        if columns.ndim != 1 or columns.dtype.kind not in "iu":
+            raise ValueError(f"columns must be a 1-D integer array, got shape {columns.shape} of {columns.dtype}")
+        if len(columns) != self.dictionary.atoms.shape[1]:  # at least 1: an atom is nonzero
+            raise ValueError(f"{len(columns)} columns for dictionary atoms of width {self.dictionary.atoms.shape[1]}")
+        if np.any(columns[1:] <= columns[:-1]) or columns[0] < 0 or columns[-1] >= self.grid.dim:
+            raise ValueError(f"columns must be strictly increasing grid features, in [0, {self.grid.dim})")
+        columns.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
         if self.transitions.shape != (k, k):
             raise ValueError(f"transitions have shape {self.transitions.shape}, expected ({k}, {k})")
         if not np.issubdtype(self.transitions.dtype, np.integer):
@@ -289,9 +295,10 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     ``frame`` is the curbside frame of the training intersection, expressed
     in the same local coordinates as the data. The grid is fit to the
     curbside points with cells of ``config.grid_cell``, padded by one cell;
-    a feature matrix or dictionary arrays of more than ``_MAX_DENSE_ENTRIES``
-    entries raise :class:`PipelineError`. A trajectory with fewer than 2
-    points or no motion is dropped after the grid is fit.
+    features and atoms span the grid features that votes reach, and arrays
+    on them of more than ``_MAX_DENSE_ENTRIES`` entries raise
+    :class:`PipelineError`. A trajectory with fewer than 2 points or no
+    motion is dropped after the grid is fit.
     """
     config = config if config is not None else PipelineConfig()
     if len(dataset) < 2:
@@ -299,22 +306,25 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     _check_dt(dataset.dt, config, "training data")
     xy, offsets = curbside_stack(_effective_frame(frame, config.mode), dataset.trajectories)
     grid = _fit_grid(xy, config.grid_cell)
-    if (entries := len(dataset) * grid.dim) > _MAX_DENSE_ENTRIES:  # Python ints: no overflow
-        raise PipelineError(
-            f"grid_cell {config.grid_cell} gives {len(dataset)} trajectories x {grid.dim} features = "
-            f"{entries} feature entries, more than the budget of {_MAX_DENSE_ENTRIES}"
-        )
-    k = int(config.k_atoms)  # a numpy integer's product could wrap
-    if (entries := k * max(grid.dim, k)) > _MAX_DENSE_ENTRIES:
-        raise PipelineError(
-            f"k_atoms {config.k_atoms} with {grid.dim} grid features gives dictionary arrays of {entries} entries, "
-            f"more than the budget of {_MAX_DENSE_ENTRIES}"
-        )
-
     votes = pair_votes(xy, offsets, dataset.dt, grid)
     if votes.n_clipped:
         logger.warning("%d segment midpoints outside grid bounds were clipped", votes.n_clipped)
-    features = featurize_stack(votes, grid.dim)
+    columns = np.unique(votes.index[votes.voting])
+    m = len(columns)
+    if (entries := len(dataset) * m) > _MAX_DENSE_ENTRIES:  # Python ints: no overflow
+        raise PipelineError(
+            f"grid_cell {config.grid_cell} gives {len(dataset)} trajectories x {m} voted features = "
+            f"{entries} feature entries, more than the budget of {_MAX_DENSE_ENTRIES}"
+        )
+    k = int(config.k_atoms)  # a numpy integer's product could wrap
+    if (entries := k * max(m, k)) > _MAX_DENSE_ENTRIES:
+        raise PipelineError(
+            f"k_atoms {config.k_atoms} with {m} voted features gives dictionary arrays of {entries} entries, "
+            f"more than the budget of {_MAX_DENSE_ENTRIES}"
+        )
+
+    votes = replace(votes, index=np.searchsorted(columns, votes.index))  # onto the support
+    features = featurize_stack(votes, m)
     kept = np.flatnonzero(features.any(axis=1))
     if len(kept) < 2:
         raise PipelineError("fewer than 2 trajectories survived featurization")
@@ -322,7 +332,6 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     dictionary, codes = learn_dictionary(
         features[kept], config.k_atoms, config.sparsity, config.iters, config.seed
     )
-    del features  # (T, dim), the largest array of train until the GP fits
     seglists = segment_stack(votes, dictionary, config.min_segment, kept)
     transitions = build_transitions(seglists, config.k_atoms)
 
@@ -345,6 +354,7 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
         frame=frame,
         grid=grid,
         dictionary=dictionary,
+        columns=columns,
         transitions=transitions,
         patterns=patterns,
         config=config,
@@ -511,7 +521,7 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     return psets
 
 
-_MODEL_KEYS = ("version", "config", "frame", "grid", "atoms", "transitions", "final_objective", "patterns")
+_MODEL_KEYS = ("version", "config", "frame", "grid", "columns", "atoms", "transitions", "final_objective", "patterns")
 _PATTERN_KEYS = ("atoms", "prior_weight", "inputs", "vx", "vy")
 
 
@@ -521,6 +531,7 @@ def _model_to_dict(model: TasnscModel) -> dict:
         "config": model.config.to_dict(),
         "frame": frame_to_config(model.frame),
         "grid": asdict(model.grid),
+        "columns": model.columns.tolist(),
         "atoms": model.dictionary.atoms.tolist(),
         "transitions": model.transitions.tolist(),
         "final_objective": model.final_objective,
@@ -562,10 +573,14 @@ def load_model(path) -> TasnscModel:
         raise ValueError(f"unsupported model version {doc['version']!r} in {path}")
     doc = _check_keys(doc, _MODEL_KEYS, "model file")
     config = PipelineConfig.from_dict(doc["config"])
+    # ``type(c) is int`` keeps out bool, which numpy would read as 0 or 1.
+    if not (isinstance(doc["columns"], list) and all(type(c) is int for c in doc["columns"])):
+        raise ValueError("model file columns must be a list of integers")
     return TasnscModel(
         frame=frame_from_config(doc["frame"]),
         grid=_record(GridSpec, doc["grid"], "grid"),
         dictionary=Dictionary(atoms=np.asarray(doc["atoms"], dtype=float)),
+        columns=doc["columns"],
         transitions=np.asarray(doc["transitions"]),
         patterns=[_pattern(rec, config.kernel) for rec in doc["patterns"]],
         config=config,

@@ -13,14 +13,7 @@ to the unit sphere, so the objective never increases across a sweep
 (HALS-style coordinate updates, Cichocki & Phan 2009, on the semi-NMF model
 of Ding, Li & Jordan 2010).
 
-The training features are very sparse: a trajectory votes in a few dozen
-of the grid's thousands of (cell, channel) entries, and all of them
-together reach only a few percent of the columns of ``X``. The atoms never
-leave those active columns, so dictionary learning runs on the dense
-columns of ``X`` that hold a nonzero entry and scatters the atoms back into
-the full dimension. It falls back to every column only when a random atom
-is drawn: with fewer samples than atoms, or with a (near-)zero sample. The
-updates run in Gram form: the code pass reads from ``D^T X`` and
+The updates run in Gram form: the code pass reads from ``D^T X`` and
 ``D^T D``, the atom pass from ``X A^T`` and ``A A^T``, and the residual
 ``X - D A`` is formed only once, for the exact objective of the last sweep.
 
@@ -30,7 +23,8 @@ pair in one pass, :func:`featurize_stack` builds the feature matrix with one
 ``bincount``, and :func:`segment_stack` scores every point with one gather
 from the atoms and labels it with one ``argmax``. Each stage is elementwise
 per pair or point, so a trajectory gets the same bits stacked or alone;
-:func:`featurize` and :func:`segment` are the one-trajectory cases.
+:func:`featurize` and :func:`segment` are the one-trajectory cases. Given
+votes re-indexed onto the features they reach, the stacks work on those alone.
 """
 
 import logging
@@ -196,9 +190,9 @@ def _votes_of(traj: Trajectory, grid: GridSpec, what: str) -> PairVotes:
 def featurize_stack(votes: PairVotes, dim: int) -> np.ndarray:
     """(T, dim) features, one row per stacked trajectory (see :func:`featurize`).
 
-    Built with one ``bincount`` over ``row * dim + index``. A row without a
-    vote stays zero; every other row is a unit vector. The norms are exact,
-    because the counts are integers.
+    Built with one ``bincount`` over ``row * dim + index``, so every vote
+    index is below ``dim``. A row without a vote stays zero; every other row
+    is a unit vector. The norms are exact, because the counts are integers.
     """
     n_rows = len(votes.offsets) - 1
     rows = votes.owner[:-1][votes.voting]
@@ -257,14 +251,6 @@ def learn_dictionary(
     and is non-increasing. An atom left without codes is reseated on the
     worst-reconstructed sample, ``argmax_j ||x_j - D a_j||^2``.
 
-    The iteration runs on the active columns of ``X``, those with a nonzero
-    entry, and the atoms are scattered back into ``dim`` columns, zero
-    elsewhere. This is exact: atoms start as rows of ``X`` and are reseated
-    on rows of ``X``, and every update of a column where ``X`` and ``D``
-    are zero leaves it zero. Only a random atom can put mass outside the
-    active columns: one drawn when ``n < k_atoms``, or drawn in place of a
-    (near-)zero sample. In those two cases all ``dim`` columns are used.
-
     Both coordinate passes work in Gram form, so the residual ``X - D A``
     is never updated. The code pass reads atom k's correlation as
     ``(D^T X)[k] - (D^T D)[k] @ A + A[k]``; the atom pass reads the
@@ -275,7 +261,8 @@ def learn_dictionary(
     the last sweep forms the residual explicitly, so ``objective[-1]`` is
     exact even where the Gram identity would cancel to round-off.
     """
-    X = np.asarray(features, dtype=float)
+    # Column-major: BLAS rounds the products of a row-major X differently.
+    X = np.asfortranarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("features must be a nonempty (n, dim) array")
     if not np.all(np.isfinite(X)):
@@ -288,25 +275,17 @@ def learn_dictionary(
     if k_atoms > dim:
         logger.warning("k_atoms=%d exceeds feature dimension %d", k_atoms, dim)
     sq_norms = np.sum(X * X, axis=1)
-    # Twice the 1e-12 dead-atom threshold, so that no norm rounded
-    # differently below reaches a random draw on the active columns.
-    if n < k_atoms or np.sqrt(np.min(sq_norms)) < 2e-12:
-        cols = np.arange(dim)
-    else:
-        cols = np.flatnonzero(X.any(axis=0))
-    X = X[:, cols]  # (n, m) on the m columns the iteration touches
-    m = len(cols)
 
     rng = np.random.default_rng(seed)
     if n >= k_atoms:
         picks = rng.choice(n, size=k_atoms, replace=False)
         D = X[picks].T.copy()
     else:
-        D = np.vstack((X, rng.standard_normal((k_atoms - n, m)))).T
+        D = np.vstack((X, rng.standard_normal((k_atoms - n, dim)))).T
     norms = np.linalg.norm(D, axis=0)
     dead = norms < 1e-12
     if np.any(dead):
-        D[:, dead] = rng.standard_normal((m, int(dead.sum())))
+        D[:, dead] = rng.standard_normal((dim, int(dead.sum())))
         norms = np.linalg.norm(D, axis=0)
     D /= norms
 
@@ -330,7 +309,7 @@ def learn_dictionary(
                 j = int(np.argmax(_sample_errors(sq_norms, (X @ D).T, D.T @ D, A)))
                 cand = X[j]
                 if np.linalg.norm(cand) < 1e-12:
-                    cand = rng.standard_normal(m)
+                    cand = rng.standard_normal(dim)
                 D[:, k] = cand / np.linalg.norm(cand)
                 continue
             g = XAt[:, k] - D @ AAt[:, k] + D[:, k] * weight
@@ -345,9 +324,7 @@ def learn_dictionary(
             DtD = D.T @ D
             history[it] = 0.5 * np.sum(_sample_errors(sq_norms, DtX, DtD, A)) + lam * np.sum(A)
 
-    atoms = np.zeros((k_atoms, dim))
-    atoms[:, cols] = D.T
-    return Dictionary(atoms=atoms), SparseCodes(matrix=A, objective=history)
+    return Dictionary(atoms=D.T), SparseCodes(matrix=A, objective=history)
 
 
 @dataclass(frozen=True)
@@ -436,8 +413,10 @@ def segment(traj: Trajectory, dictionary: Dictionary, grid: GridSpec, min_len: i
     A short run joins whichever neighboring run's atom scores higher on the
     short run's own points (left neighbor on ties). Ties in the per-point
     argmax go to the lower atom index. The one-trajectory case of
-    :func:`pair_votes` and :func:`segment_stack`.
+    :func:`pair_votes` and :func:`segment_stack`, with atoms over the grid.
     """
+    if dictionary.atoms.shape[1] != grid.dim:
+        raise ValueError(f"atoms have {dictionary.atoms.shape[1]} columns, the grid has {grid.dim} features")
     return segment_stack(_votes_of(traj, grid, "segment"), dictionary, min_len)[0]
 
 

@@ -32,8 +32,8 @@ __all__ = ["INTENTS", "SceneSpec", "generate", "scene_a", "scene_b", "load_scene
 INTENTS = ("straight", "left", "right")
 
 _DENSE_STEP = 0.02  # m, resolution of the arc-length lookup table
-# Most points an intent path's lookup table may hold: 2**20 points at 2 cm
-# cover ≈ 21 km, and the canonical paths need ≈ 1000.
+# Most points an intent path's lookup table, or a walk's speed draws, may
+# hold: 2**20 points at 2 cm cover ≈ 21 km, and the canonical paths need ≈ 1000.
 _MAX_PATH_POINTS = 2**20
 _MIN_SPEED = 0.1  # m/s, floor under the per-step speed draw
 
@@ -204,10 +204,15 @@ def generate(scene: SceneSpec, n: int, dt: float = 0.5, tag: str = "train") -> D
     intents = np.random.default_rng(seeds[0]).choice(names, size=n, p=probs)
 
     paths = _intent_paths(scene, names)
-    slowest, shortest = _speeds(scene)[0], min(s[-1] for s, _ in paths.values())
-    if not slowest * dt < shortest:
+    slowest, lengths = _speeds(scene)[0], [s[-1] for s, _ in paths.values()]
+    if not slowest * dt < min(lengths):
         raise ValueError(
-            f"dt={dt} s is too long: a slowest step, {slowest:.4g} m/s, covers the {shortest:.4g} m intent path"
+            f"dt={dt} s is too long: a slowest step, {slowest:.4g} m/s, covers the {min(lengths):.4g} m intent path"
+        )
+    # _walk draws longest / (slowest * dt) + 2 speeds; no division, as slowest * dt may underflow.
+    if max(lengths) > (_MAX_PATH_POINTS - 2) * slowest * dt:
+        raise ValueError(
+            f"dt={dt} s is too short: walking the {max(lengths):.4g} m intent path takes over {_MAX_PATH_POINTS} steps"
         )
     trajectories = []
     for i, intent in enumerate(intents):

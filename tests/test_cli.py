@@ -1,10 +1,15 @@
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from tasnsc import predictor
 from tasnsc.cli import main
-from tasnsc.geometry import frame_to_config
+from tasnsc.geometry import curbside_stack, frame_to_config, load_frame
+from tasnsc.sparse_coding import GridSpec, pair_votes
 from tasnsc.synthgen import scene_a, scene_b, scene_to_config
+from tasnsc.trajectory import load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +125,16 @@ class TestGenerate:
         assert main(["generate", "--scene", str(workdir["scene_a"]), "--n", "5", "--dt", "19",
                      "--out", str(tmp_path / "o")]) == 0
 
+    def test_walk_past_the_point_budget_exits_2(self, workdir, tmp_path, capsys):
+        # A 1e-7 s step walks scene A's 16 m straight path at 0.8 m/s in 2e8
+        # steps, 1.5 GiB of speed draws; generate refuses before drawing.
+        out = tmp_path / "o"
+        rc = main(["generate", "--scene", str(workdir["scene_a"]), "--n", "1", "--dt", "1e-7", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dt=1e-07 s is too short: walking the 16 m intent path takes over 1048576 steps" in err
+        assert not out.exists()
+
     def test_intent_mix_list_exits_2(self, workdir, tmp_path, capsys):
         cfg = json.loads(workdir["scene_a"].read_text())
         cfg["intent_mix"] = []
@@ -155,7 +170,8 @@ class TestTrain:
         )
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["version"] == 3
+        assert doc["version"] == 4
+        assert len(doc["columns"]) == len(doc["atoms"][0])
         assert len(doc["patterns"]) >= 3
         assert "patterns" in capsys.readouterr().out
 
@@ -259,9 +275,9 @@ class TestTrain:
         assert "grid cell 1e+308 pads the data bounds to [-1e+308, 1e+308]" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_feature_budget_exits_3(self, workdir, tmp_path, capsys):
-        # 40 trajectories on millimetre cells would need a feature matrix of
-        # about 1e11 entries; train refuses right after fitting the grid.
+    def test_millimetre_cells_train(self, workdir, tmp_path):
+        # The grid has more than 2**26 features, but features and atoms span
+        # only those the data vote in, at most one per voting point pair.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid_cell": 0.001}))
         out = tmp_path / "model.json"
@@ -269,10 +285,27 @@ class TestTrain:
             ["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]),
              "--out", str(out), "--config", str(path)]
         )
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        grid = GridSpec(**doc["grid"])
+        assert grid.dim > 2**26
+        data = load_dataset(workdir["train_a"])
+        votes = pair_votes(*curbside_stack(load_frame(workdir["frame_a"]), data.trajectories), data.dt, grid)
+        assert len(doc["columns"]) == len(doc["atoms"][0]) <= np.count_nonzero(votes.voting)
+
+    def test_feature_budget_exits_3(self, workdir, tmp_path, capsys):
+        # 40 trajectories vote in about 100 features at the default cell:
+        # a feature matrix of about 4000 entries.
+        out = tmp_path / "model.json"
+        with mock.patch.object(predictor, "_MAX_DENSE_ENTRIES", 1000):
+            rc = main(
+                ["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]), "--out", str(out)]
+            )
         assert rc == 3
         err = capsys.readouterr().err
-        assert "training failed: grid_cell 0.001 gives 40 trajectories x " in err
-        assert f"more than the budget of {2**26}" in err
+        assert "training failed: grid_cell 1.0 gives 40 trajectories x " in err
+        assert "voted features = " in err
+        assert "feature entries, more than the budget of 1000" in err
         assert not out.exists()
 
     def test_dictionary_budget_exits_3(self, workdir, tmp_path, capsys):
@@ -334,6 +367,14 @@ def as_version_2(doc):
     """The model file as version 2 wrote it: the config held the fixed-grid option, null."""
     doc["version"] = 2
     doc["config"]["grid"] = None
+
+
+def as_version_3(doc):
+    """The model file as version 3 wrote it: no columns, atoms over every grid feature."""
+    doc["version"] = 3
+    atoms = np.zeros((len(doc["atoms"]), GridSpec(**doc["grid"]).dim))
+    atoms[:, doc.pop("columns")] = doc["atoms"]
+    doc["atoms"] = atoms.tolist()
 
 
 class TestEvaluate:
@@ -434,6 +475,16 @@ class TestEvaluate:
             (lambda doc: doc["config"].update(grid_cell=3.0), "the grid has cell 1.0, config.grid_cell is 3.0"),
             # Loading rejects it, not the first prediction.
             (lambda doc: doc.update(patterns=[]), "no motion patterns: a pattern table needs at least one"),
+            (as_version_3, "unsupported model version 3"),
+            (lambda doc: doc["columns"].__setitem__(0, float(doc["columns"][0])),
+             "model file columns must be a list of integers"),
+            (lambda doc: doc["columns"].__setitem__(0, True), "model file columns must be a list of integers"),
+            (lambda doc: doc.update(columns=[doc["columns"]]), "model file columns must be a list of integers"),
+            (lambda doc: doc["columns"].reverse(), "columns must be strictly increasing"),
+            (lambda doc: doc["columns"].__setitem__(0, -1), "strictly increasing grid features, in [0, "),
+            (lambda doc: doc["columns"].__setitem__(-1, GridSpec(**doc["grid"]).dim),
+             "strictly increasing grid features, in [0, "),
+            (lambda doc: doc["columns"].pop(), "columns for dictionary atoms of width"),
         ],
         ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
              "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-extra-key", "pattern-kernel",
@@ -441,7 +492,9 @@ class TestEvaluate:
              "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow",
              "grid-cells-overflow", "grid-features-overflow", "atom-norm-overflow", "curb-norm-overflow",
              "pattern-input-overflow", "pattern-weight-overflow", "zero-step-horizon",
-             "version-2", "config-grid", "grid-cell", "config-grid-cell", "no-patterns"],
+             "version-2", "config-grid", "grid-cell", "config-grid-cell", "no-patterns",
+             "version-3", "float-column", "bool-column", "nested-columns", "decreasing-columns",
+             "negative-column", "column-past-grid", "column-count"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())
@@ -459,7 +512,7 @@ class TestEvaluate:
         "doc, message",
         [
             ([], "model file must be a JSON object, got list"),
-            ({"version": 3}, "missing keys ['config', 'frame', 'grid', 'atoms'"),
+            ({"version": 4}, "missing keys ['config', 'frame', 'grid', 'columns', 'atoms'"),
         ],
         ids=["list", "version-only"],
     )

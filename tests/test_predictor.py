@@ -24,7 +24,7 @@ from tasnsc.predictor import (
     save_model,
     train,
 )
-from tasnsc.sparse_coding import GridSpec, featurize, segment
+from tasnsc.sparse_coding import Dictionary, GridSpec, featurize, segment
 from tasnsc.synthgen import SceneSpec, generate, scene_a, scene_b, scene_to_config, with_seed
 from tasnsc.trajectory import Dataset, Trajectory, TrajectoryError, split_horizon, velocities
 
@@ -39,6 +39,13 @@ def straight_scene(**overrides):
     )
     base.update(overrides)
     return SceneSpec(**base)
+
+
+def grid_dictionary(model):
+    """The model's dictionary with its atoms scattered onto every grid feature."""
+    atoms = np.zeros((model.dictionary.k, model.grid.dim))
+    atoms[:, model.columns] = model.dictionary.atoms
+    return Dictionary(atoms=atoms)
 
 
 INT_FIELDS = ["k_atoms", "iters", "min_segment", "top_m", "max_gp_points", "seed"]
@@ -222,6 +229,7 @@ class TestStackedFrontEnd:
         model = train(Dataset(trajectories=padded), frame, config)
         # The added points lie inside the data's bounds, so the fitted grids agree.
         assert model.grid == plain.grid
+        assert model.columns.tobytes() == plain.columns.tobytes()
         assert model.dictionary.atoms.tobytes() == plain.dictionary.atoms.tobytes()
         assert model.transitions.tobytes() == plain.transitions.tobytes()
         assert repr(model.final_objective) == repr(plain.final_objective)
@@ -266,8 +274,8 @@ class TestStackedFrontEnd:
             model = train(small_a["train"], small_a["frame"], config)
         curbside = [transform_trajectory(small_a["frame"], t) for t in small_a["train"]]
         features = np.stack([featurize(t, model.grid) for t in curbside])
-        assert learn.call_args.args[0].tobytes() == features.tobytes()
-        seglists = [segment(t, model.dictionary, model.grid, config.min_segment) for t in curbside]
+        assert learn.call_args.args[0].tobytes() == features[:, model.columns].tobytes()
+        seglists = [segment(t, grid_dictionary(model), model.grid, config.min_segment) for t in curbside]
         assert count.call_args.args[0] == seglists
 
     def test_non_finite_curbside_point_names_its_trajectory(self):
@@ -359,7 +367,7 @@ class TestPredict:
             pset = predict(model_a, small_a["frame"], obs)
             top = pset.top()
             curb = transform_trajectory(small_a["frame"], traj)
-            segs = segment(curb, model_a.dictionary, model_a.grid, cfg.min_segment)
+            segs = segment(curb, grid_dictionary(model_a), model_a.grid, cfg.min_segment)
             atoms = [s.atom for s in segs]
             own = {(a, b) for a, b in zip(atoms[:-1], atoms[1:])} or {(atoms[0], atoms[0])}
             checked += 1
@@ -887,6 +895,7 @@ class TestSkewedFrameProperty:
         assert [(p.atoms, p.prior_weight) for p in model.patterns] == [
             (p.atoms, p.prior_weight) for p in model_a.patterns
         ]
+        assert model.columns.tobytes() == model_a.columns.tobytes()
         assert model.dictionary.atoms.tobytes() == model_a.dictionary.atoms.tobytes()
         assert np.array_equal(model.transitions, model_a.transitions)
         obs = observations(small_b["test"])
@@ -975,11 +984,12 @@ class TestModelChecks:
         with pytest.raises(ValueError, match="transitions have shape"):
             load_model(edited_model_file(model_a, tmp_path, edit))
 
-    def test_atom_dimension_differs_from_grid(self, model_a, tmp_path):
+    def test_atom_width_differs_from_columns(self, model_a, tmp_path):
         def edit(doc):
             doc["atoms"] = [atom[:-4] for atom in doc["atoms"]]
 
-        with pytest.raises(ValueError, match="dictionary atoms have dimension"):
+        m = len(model_a.columns)
+        with pytest.raises(ValueError, match=f"{m} columns for dictionary atoms of width {m - 4}"):
             load_model(edited_model_file(model_a, tmp_path, edit))
 
     def test_non_finite_atom(self, model_a, tmp_path):
@@ -1023,7 +1033,7 @@ class TestModelChecks:
         "doc, message",
         [
             ([], "model file must be a JSON object, got list"),
-            ({"version": 3}, "model file: unknown keys [], missing keys ['config', 'frame', 'grid'"),
+            ({"version": 4}, "model file: unknown keys [], missing keys ['config', 'frame', 'grid', 'columns'"),
         ],
         ids=["list", "version-only"],
     )
@@ -1059,10 +1069,20 @@ class TestModelChecks:
             (lambda doc: [p.update(prior_weight=1.0) for p in doc["patterns"]], "has prior weight 1.0"),
             (lambda doc: doc["patterns"][-1].update(prior_weight=math.nextafter(doc["patterns"][-1]["prior_weight"], 1)),
              "has prior weight"),
+            (lambda doc: doc["columns"].__setitem__(1, 1.5), "model file columns must be a list of integers"),
+            (lambda doc: doc.update(columns=[False] + doc["columns"][1:]), "columns must be a list of integers"),
+            (lambda doc: doc.update(columns=[[c] for c in doc["columns"]]), "columns must be a list of integers"),
+            (lambda doc: doc["columns"].__setitem__(1, doc["columns"][0]), "columns must be strictly increasing"),
+            (lambda doc: doc["columns"].__setitem__(0, -4), "strictly increasing grid features, in [0, 2356)"),
+            (lambda doc: doc["columns"].__setitem__(-1, 2356), "strictly increasing grid features, in [0, 2356)"),
+            (lambda doc: doc["columns"].append(2355), "77 columns for dictionary atoms of width 76"),
+            (lambda doc: doc.update(columns=2**70), "model file columns must be a list of integers"),
         ],
         ids=["float-atoms", "one-atom", "bool-atom", "pattern-extra-key", "pattern-missing-vy",
              "vx-vy-lengths", "dictionary-k", "atom-count",
-             "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight", "prior-weight-ulp"],
+             "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight", "prior-weight-ulp",
+             "float-column", "bool-column", "nested-columns", "repeated-column", "negative-column",
+             "column-past-grid", "column-count", "columns-not-a-list"],
     )
     def test_bad_record_rejected(self, model_a, tmp_path, edit, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -1073,6 +1093,12 @@ class TestModelChecks:
             dataclasses.replace(model_a, patterns=model_a.patterns + model_a.patterns[:1])
         with pytest.raises(ValueError, match="transitions must be integer counts, got float64"):
             dataclasses.replace(model_a, transitions=model_a.transitions + 0.7)
+
+    @pytest.mark.parametrize("kind", ["float", "2-d"])
+    def test_model_rejects_columns_not_1d_integers(self, model_a, kind):
+        columns = model_a.columns.astype(float) if kind == "float" else model_a.columns[None]
+        with pytest.raises(ValueError, match="columns must be a 1-D integer array"):
+            dataclasses.replace(model_a, columns=columns)
 
     def test_non_integer_config_field(self, model_a, tmp_path):
         def edit(doc):

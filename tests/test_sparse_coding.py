@@ -404,6 +404,13 @@ class TestSegment:
         segs = segment(traj, d, GRID, min_len=4)
         assert len(segs) == 1
 
+    def test_atoms_off_the_grid_rejected(self):
+        # Atoms over a model's voted features index other features than the grid's.
+        d = Dictionary(atoms=handmade_dictionary().atoms[:, :-4])
+        traj = traj_from_xy([[0.5, 0.5], [1.5, 0.5], [2.5, 0.5]])
+        with pytest.raises(ValueError, match=f"atoms have {GRID.dim - 4} columns, the grid has {GRID.dim} features"):
+            segment(traj, d, GRID)
+
 
 def oracle_pairs(traj, grid):
     """Scalar per-pair rule: (pair, feature index, clipped) for each moving pair.
