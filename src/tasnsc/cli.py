@@ -1,9 +1,10 @@
 """Command-line entry point: generate, train, evaluate, compare.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime pipeline
-failure. Diagnostics go to stderr, result tables to stdout. All numeric
-defaults live in :class:`tasnsc.predictor.PipelineConfig`; a ``--config``
-JSON file overrides the defaults and explicit flags override the file.
+failure or an output that cannot be written. Diagnostics go to stderr,
+result tables to stdout. All numeric defaults live in
+:class:`tasnsc.predictor.PipelineConfig`; a ``--config`` JSON file
+overrides the defaults and explicit flags override the file.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .geometry import load_frame
-from .metrics import THRESHOLD_DEG, evaluate, format_table, write_candidate_csv
+from .metrics import THRESHOLD_DEG, check_threshold, evaluate, format_table, write_candidate_csv
 from .predictor import PipelineConfig, PipelineError, load_model, save_model, train
 from .synthgen import generate, load_scene, with_seed
 from .trajectory import load_dataset, save_dataset
@@ -32,6 +33,13 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _threshold(text: str) -> float:
+    try:
+        return check_threshold(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _load_config(args) -> PipelineConfig:
     """Defaults, overridden by --config file, overridden by explicit flags."""
     if getattr(args, "config", None):
@@ -39,18 +47,9 @@ def _load_config(args) -> PipelineConfig:
             config = PipelineConfig.from_dict(json.load(fh))
     else:
         config = PipelineConfig()
-    overrides = {}
-    for flag, name in (
-        ("k", "k_atoms"),
-        ("sparsity", "sparsity"),
-        ("seed", "seed"),
-        ("mode", "mode"),
-        ("iters", "iters"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
-    return replace(config, **overrides) if overrides else config
+    # Each flag's dest is the config field it sets.
+    flags = {name: getattr(args, name, None) for name in ("k_atoms", "sparsity", "seed", "mode", "iters")}
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _cmd_generate(args) -> int:
@@ -64,10 +63,7 @@ def _cmd_generate(args) -> int:
         dataset = generate(scene, args.n, dt=args.dt, tag=args.tag)
     except ValueError as exc:
         return _fail(EXIT_CONFIG, f"bad generation parameters: {exc}")
-    try:
-        save_dataset(dataset, args.out)
-    except OSError as exc:
-        return _fail(EXIT_RUNTIME, f"cannot write dataset: {exc}")
+    save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} trajectories to {args.out}")
     return EXIT_OK
 
@@ -84,8 +80,6 @@ def _cmd_train(args) -> int:
         save_model(model, args.out)
     except _PIPELINE_ERRORS as exc:
         return _fail(EXIT_RUNTIME, f"training failed: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_RUNTIME, f"cannot write model: {exc}")
     print(
         f"trained {config.mode} model: {model.dictionary.k} atoms, "
         f"{len(model.patterns)} patterns, final objective {model.final_objective:.6f}"
@@ -184,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", required=True, help="curbside frame config JSON")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--mode", choices=["tasnsc", "baseline"], default=None)
-    p.add_argument("--k", type=int, default=None, help="dictionary size")
+    p.add_argument("--k", dest="k_atoms", type=int, default=None, help="dictionary size")
     p.add_argument("--lambda", dest="sparsity", type=float, default=None, help="sparsity weight")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--iters", type=int, default=None, help="dictionary learning sweeps")
@@ -196,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--frame", required=True)
     p.add_argument("--report", required=True, help="output report JSON")
-    p.add_argument("--threshold", type=float, default=THRESHOLD_DEG, help="correctness cone, degrees")
+    p.add_argument("--threshold", type=_threshold, default=THRESHOLD_DEG, help="correctness cone, degrees")
     p.add_argument("--emit-plots", default=None, metavar="DIR", help="write per-trajectory CSVs")
     p.add_argument("--weighted-mhd", action="store_true", help="also report likelihood-weighted MHD")
     p.set_defaults(func=_cmd_evaluate)
@@ -209,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-a", required=True)
     p.add_argument("--frame-b", required=True)
     p.add_argument("--out", required=True, help="output comparison JSON")
-    p.add_argument("--threshold", type=float, default=THRESHOLD_DEG)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--threshold", type=_threshold, default=THRESHOLD_DEG)
+    p.add_argument("--k", dest="k_atoms", type=int, default=None)
     p.add_argument("--lambda", dest="sparsity", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
@@ -225,7 +219,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # every command reads its inputs under its own handler first
+        return _fail(EXIT_RUNTIME, f"cannot write output: {exc}")
 
 
 def entry() -> None:

@@ -24,6 +24,7 @@ THRESHOLD_DEG = 40.0  # the paper's correctness cone, degrees
 
 __all__ = [
     "THRESHOLD_DEG",
+    "check_threshold",
     "EvalReport",
     "mhd",
     "angular_deviation",
@@ -71,6 +72,13 @@ def angular_deviation(predicted, truth, anchor) -> float:
     return float(np.degrees(np.arccos(cosang)))
 
 
+def check_threshold(threshold: float) -> float:
+    """``threshold``, if it is a cone half-angle in [0, 180] degrees; else ``ValueError``."""
+    if not 0.0 <= threshold <= 180.0:  # nan fails too
+        raise ValueError(f"threshold must be an angle in [0, 180] degrees, got {threshold!r}")
+    return threshold
+
+
 def _judge(pset: PredictionSet, truth, anchor, threshold: float) -> list:
     """``(likelihood, correct)`` for every candidate of a set, in candidate order."""
     judged = []
@@ -105,6 +113,7 @@ def classification_accuracy(results, threshold: float = THRESHOLD_DEG) -> float:
     ``results`` is a sequence of ``(PredictionSet, truth, anchor)`` triples;
     every candidate of every set is pooled with its likelihood as weight.
     """
+    check_threshold(threshold)
     return _accuracy(_judge(pset, truth, anchor, threshold) for pset, truth, anchor in results)
 
 
@@ -160,8 +169,9 @@ def evaluate(
     trajectories. When a list is passed as
     ``collect_predictions`` it receives one
     ``(observed, truth, PredictionSet)`` triple per trajectory, for plot
-    export.
+    export. A ``threshold`` outside [0, 180] degrees raises ``ValueError``.
     """
+    check_threshold(threshold)
     if len(test) == 0:
         raise ValueError("empty test set")
 

@@ -48,6 +48,7 @@ from .sparse_coding import (
     featurize_stack,
     learn_dictionary,
     pair_votes,
+    segment_pairs,
     segment_stack,
 )
 from .trajectory import Dataset, Trajectory, TrajectoryError, velocity_stack
@@ -74,7 +75,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 MODES = ("tasnsc", "baseline")
 
@@ -148,16 +149,33 @@ def _record(cls, doc, what: str):
     return cls(**_check_keys(doc, cls.__dataclass_fields__, what))
 
 
+def _transition_pairs(transitions: np.ndarray, k: int) -> tuple:
+    """Row-major (i, j) of the nonzero counts, as Python ints, and the counts' total.
+
+    ``transitions`` must be (k, k) nonnegative integer counts whose total fits an int64.
+    """
+    if transitions.shape != (k, k):
+        raise ValueError(f"transitions have shape {transitions.shape}, expected ({k}, {k})")
+    if not np.issubdtype(transitions.dtype, np.integer):
+        raise ValueError(f"transitions must be integer counts, got {transitions.dtype}")
+    if np.any(transitions < 0):
+        raise ValueError("transitions must be nonnegative counts")
+    if (total := sum(transitions.ravel().tolist())) >= 2**63:  # Python ints: no wrap
+        raise ValueError(f"transitions total {total}, more than an int64 holds")
+    return list(map(tuple, np.argwhere(transitions).tolist())), total
+
+
 @dataclass(frozen=True, eq=False)
 class TasnscModel:
     """Everything needed to predict: frame provenance, primitives, flow fields.
 
-    ``table`` is the :class:`~tasnsc.gp.PatternTable` of ``patterns``, built
-    once here, so ``train``, ``load_model`` and ``dataclasses.replace`` each
-    give a model its own, and every prediction reads it. Its dictionary has
-    ``config.k_atoms`` atoms, its grid has cells of ``config.grid_cell``, and
-    it has patterns, at least one, all fit with ``config.kernel``. Atom entry
-    ``[k, c]`` is grid feature ``columns[c]``; the features no vote reached are zero.
+    ``flows`` holds one (vx, vy) :class:`~tasnsc.gp.GPModel` per nonzero
+    count of ``transitions``, row-major, fit with ``config.kernel``. The
+    model derives ``patterns``, pair ``(i, j)`` with prior weight
+    ``transitions[i, j] / sum``, and their :class:`~tasnsc.gp.PatternTable`
+    ``table``, which every prediction reads. The dictionary has
+    ``config.k_atoms`` atoms, the grid cells of ``config.grid_cell``, and
+    atom entry ``[k, c]`` is grid feature ``columns[c]``.
     """
 
     frame: CurbsideFrame
@@ -165,9 +183,10 @@ class TasnscModel:
     dictionary: Dictionary
     columns: np.ndarray
     transitions: np.ndarray
-    patterns: list
+    flows: list
     config: PipelineConfig
     final_objective: float
+    patterns: list = field(init=False, repr=False)
     table: PatternTable = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -185,28 +204,12 @@ class TasnscModel:
             raise ValueError(f"columns must be strictly increasing grid features, in [0, {self.grid.dim})")
         columns.setflags(write=False)
         object.__setattr__(self, "columns", columns)
-        if self.transitions.shape != (k, k):
-            raise ValueError(f"transitions have shape {self.transitions.shape}, expected ({k}, {k})")
-        if not np.issubdtype(self.transitions.dtype, np.integer):
-            raise ValueError(f"transitions must be integer counts, got {self.transitions.dtype}")
-        pairs = [pat.atoms for pat in self.patterns]
-        for i, j in pairs:
-            if not (0 <= i < k and 0 <= j < k):
-                raise ValueError(f"pattern {(i, j)} names an atom outside [0, {k})")
-            if self.transitions[i, j] <= 0:
-                raise ValueError(f"pattern {(i, j)} has no supporting transitions")
-            if pairs.count((i, j)) > 1:
-                raise ValueError(f"pattern {(i, j)} appears more than once")
-        total = self.transitions.sum()
-        for pat in self.patterns:
-            # train writes exactly this value, and JSON round-trips it.
-            want = float(self.transitions[pat.atoms] / total)
-            if pat.prior_weight != want:
-                raise ValueError(
-                    f"pattern {pat.atoms} has prior weight {pat.prior_weight!r}, "
-                    f"its transitions give {want!r}"
-                )
-        object.__setattr__(self, "table", PatternTable(self.patterns, self.config.kernel))
+        pairs, total = _transition_pairs(self.transitions, k)
+        if len(self.flows) != len(pairs):
+            raise ValueError(f"{len(self.flows)} flows for {len(pairs)} nonzero transitions")
+        patterns = [MotionPattern(pair, f, float(self.transitions[pair] / total)) for pair, f in zip(pairs, self.flows)]
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "table", PatternTable(patterns, self.config.kernel))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -264,22 +267,12 @@ def _effective_frame(frame: CurbsideFrame, mode: str) -> CurbsideFrame:
     return frame if mode == "tasnsc" else identity_frame()
 
 
-def _transition_blocks(vel: np.ndarray, segments: list) -> list:
-    """(i, j, velocity block) per adjacent segment pair; self pair if single.
-
-    ``vel`` holds the trajectory's (x, y, vx, vy) samples, one per point but the last.
-    """
-    pairs = list(zip(segments, segments[1:])) or [(segments[0], segments[0])]
-    # A pair's first segment starts before the trajectory's last point, so every block has a row.
-    return [(a.atom, b.atom, vel[a.start : min(b.stop, len(vel))]) for a, b in pairs]
-
-
-def _motion_pattern(atoms, inputs, targets, prior_weight: float, kernel: Kernel) -> MotionPattern:
-    """The pattern with its flow fit on (inputs, targets); an error names the pattern."""
+def _flow(pair: tuple, inputs, targets, kernel: Kernel) -> GPModel:
+    """Pattern ``pair``'s flow fit on (inputs, targets); an error names the pattern."""
     try:
-        return MotionPattern(atoms=atoms, flow=GPModel(inputs, targets, kernel), prior_weight=prior_weight)
+        return GPModel(inputs, targets, kernel)
     except ValueError as exc:
-        raise type(exc)(f"pattern {atoms}: {exc}") from exc
+        raise type(exc)(f"pattern {pair}: {exc}") from exc
 
 
 def _subsample(samples: np.ndarray, cap: int) -> np.ndarray:
@@ -298,7 +291,9 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     features and atoms span the grid features that votes reach, and arrays
     on them of more than ``_MAX_DENSE_ENTRIES`` entries raise
     :class:`PipelineError`. A trajectory with fewer than 2 points or no
-    motion is dropped after the grid is fit.
+    motion is dropped after the grid is fit. Each atom pair that
+    :func:`~tasnsc.sparse_coding.segment_pairs` gives is counted in
+    ``transitions`` and gets one flow, fit on the velocities its segments span.
     """
     config = config if config is not None else PipelineConfig()
     if len(dataset) < 2:
@@ -338,17 +333,15 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     samples, rows = velocity_stack(xy, offsets, [dataset.dt] * len(dataset))
     blocks: dict = {}
     for t, segs in zip(kept, seglists):
-        for i, j, block in _transition_blocks(samples[rows[t] : rows[t + 1]], segs):
-            blocks.setdefault((i, j), []).append(block)
+        vel = samples[rows[t] : rows[t + 1]]  # (x, y, vx, vy), one per point but the last
+        for a, b in segment_pairs(segs):
+            # A pair's first segment starts before the last point, so every block has a row.
+            blocks.setdefault((a.atom, b.atom), []).append(vel[a.start : min(b.stop, len(vel))])
 
-    total = transitions.sum()
-    patterns = []
-    for (i, j) in sorted(blocks):
-        samples = _subsample(np.vstack(blocks[(i, j)]), config.max_gp_points)
-        weight = float(transitions[i, j] / total)
-        patterns.append(_motion_pattern((i, j), samples[:, :2], samples[:, 2:], weight, config.kernel))
-    if not patterns:
-        raise PipelineError("no motion patterns could be fit")
+    flows = []
+    for i, j in np.argwhere(transitions).tolist():  # the pairs of blocks, row-major
+        block = _subsample(np.vstack(blocks[i, j]), config.max_gp_points)
+        flows.append(_flow((i, j), block[:, :2], block[:, 2:], config.kernel))
 
     return TasnscModel(
         frame=frame,
@@ -356,7 +349,7 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
         dictionary=dictionary,
         columns=columns,
         transitions=transitions,
-        patterns=patterns,
+        flows=flows,
         config=config,
         final_objective=float(codes.objective[-1]) if len(codes.objective) else float("nan"),
     )
@@ -522,7 +515,7 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
 
 
 _MODEL_KEYS = ("version", "config", "frame", "grid", "columns", "atoms", "transitions", "final_objective", "patterns")
-_PATTERN_KEYS = ("atoms", "prior_weight", "inputs", "vx", "vy")
+_PATTERN_KEYS = ("inputs", "vx", "vy")
 
 
 def _model_to_dict(model: TasnscModel) -> dict:
@@ -536,14 +529,8 @@ def _model_to_dict(model: TasnscModel) -> dict:
         "transitions": model.transitions.tolist(),
         "final_objective": model.final_objective,
         "patterns": [
-            {
-                "atoms": list(p.atoms),
-                "prior_weight": p.prior_weight,
-                "inputs": p.flow.inputs.tolist(),
-                "vx": p.flow.targets[:, 0].tolist(),
-                "vy": p.flow.targets[:, 1].tolist(),
-            }
-            for p in model.patterns
+            {"inputs": f.inputs.tolist(), "vx": f.targets[:, 0].tolist(), "vy": f.targets[:, 1].tolist()}
+            for f in model.flows
         ],
     }
 
@@ -555,13 +542,12 @@ def save_model(model: TasnscModel, path) -> None:
         fh.write("\n")
 
 
-def _pattern(rec, kernel: Kernel) -> MotionPattern:
+def _record_flow(pair: tuple, rec, kernel: Kernel) -> GPModel:
     rec = _check_keys(rec, _PATTERN_KEYS, "pattern")
-    atoms = tuple(rec["atoms"]) if isinstance(rec["atoms"], list) else rec["atoms"]
     vx, vy = np.asarray(rec["vx"], dtype=float), np.asarray(rec["vy"], dtype=float)
     if vx.ndim != 1 or vx.shape != vy.shape:
-        raise ValueError(f"pattern {atoms} has vx of shape {vx.shape} and vy of shape {vy.shape}")
-    return _motion_pattern(atoms, rec["inputs"], np.column_stack((vx, vy)), float(rec["prior_weight"]), kernel)
+        raise ValueError(f"pattern {pair} has vx of shape {vx.shape} and vy of shape {vy.shape}")
+    return _flow(pair, rec["inputs"], np.column_stack((vx, vy)), kernel)
 
 
 def load_model(path) -> TasnscModel:
@@ -576,13 +562,18 @@ def load_model(path) -> TasnscModel:
     # ``type(c) is int`` keeps out bool, which numpy would read as 0 or 1.
     if not (isinstance(doc["columns"], list) and all(type(c) is int for c in doc["columns"])):
         raise ValueError("model file columns must be a list of integers")
+    transitions = np.asarray(doc["transitions"])
+    # The pairs name the patterns in GP errors; the model checks that the counts are (K, K).
+    pairs, _ = _transition_pairs(transitions, max(transitions.shape, default=0))
+    if len(doc["patterns"]) != len(pairs):
+        raise ValueError(f"{len(doc['patterns'])} pattern records for {len(pairs)} nonzero transitions")
     return TasnscModel(
         frame=frame_from_config(doc["frame"]),
         grid=_record(GridSpec, doc["grid"], "grid"),
         dictionary=Dictionary(atoms=np.asarray(doc["atoms"], dtype=float)),
         columns=doc["columns"],
-        transitions=np.asarray(doc["transitions"]),
-        patterns=[_pattern(rec, config.kernel) for rec in doc["patterns"]],
+        transitions=transitions,
+        flows=[_record_flow(pair, rec, config.kernel) for pair, rec in zip(pairs, doc["patterns"])],
         config=config,
         final_objective=float(doc["final_objective"]),
     )

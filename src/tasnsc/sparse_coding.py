@@ -48,6 +48,7 @@ __all__ = [
     "sparse_objective",
     "segment",
     "segment_stack",
+    "segment_pairs",
     "build_transitions",
 ]
 
@@ -420,23 +421,23 @@ def segment(traj: Trajectory, dictionary: Dictionary, grid: GridSpec, min_len: i
     return segment_stack(_votes_of(traj, grid, "segment"), dictionary, min_len)[0]
 
 
-def build_transitions(segmentations, k_atoms: int) -> np.ndarray:
+def segment_pairs(segments: list) -> list:
+    """The adjacent ``(a, b)`` pairs of a segment list, or its one segment paired with itself."""
+    return list(zip(segments, segments[1:])) or [(s, s) for s in segments]
+
+
+def build_transitions(seglists, k_atoms: int) -> np.ndarray:
     """Count trajectories transitioning between atom pairs.
 
-    ``segmentations`` is one atom-index sequence per trajectory. Each
-    distinct adjacent pair (i, j) in a sequence bumps ``T[i, j]`` once for
-    that trajectory; a single-segment trajectory bumps its self pair.
+    ``seglists`` holds one :class:`Segment` list per trajectory. Each
+    distinct atom pair of its :func:`segment_pairs` bumps ``T[i, j]`` once
+    for that trajectory.
     """
     T = np.zeros((k_atoms, k_atoms), dtype=int)
-    for seq in segmentations:
-        atoms = [s.atom if isinstance(s, Segment) else int(s) for s in seq]
-        if not atoms:
-            continue
-        if any(a < 0 or a >= k_atoms for a in atoms):
-            raise ValueError(f"atom index out of range for K={k_atoms}: {atoms}")
-        if len(atoms) == 1:
-            T[atoms[0], atoms[0]] += 1
-            continue
-        for i, j in set(zip(atoms[:-1], atoms[1:])):
+    for segs in seglists:
+        pairs = {(a.atom, b.atom) for a, b in segment_pairs(segs)}
+        if any(not 0 <= a < k_atoms for pair in pairs for a in pair):
+            raise ValueError(f"atom index out of range for K={k_atoms}: {[s.atom for s in segs]}")
+        for i, j in pairs:
             T[i, j] += 1
     return T

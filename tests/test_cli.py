@@ -52,6 +52,11 @@ class TestGenerate:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_out_into_missing_directory_exits_3(self, workdir, tmp_path, capsys):
+        out = tmp_path / "missing" / "d.jsonl"
+        assert main(["generate", "--scene", str(workdir["scene_a"]), "--n", "2", "--out", str(out)]) == 3
+        assert f"cannot write output: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
+
     def test_seed_reproducible_byte_identical(self, workdir, tmp_path):
         f1, f2 = tmp_path / "d1.jsonl", tmp_path / "d2.jsonl"
         args = ["generate", "--scene", str(workdir["scene_a"]), "--n", "10", "--seed", "3"]
@@ -170,9 +175,12 @@ class TestTrain:
         )
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["version"] == 4
+        assert doc["version"] == 5
         assert len(doc["columns"]) == len(doc["atoms"][0])
         assert len(doc["patterns"]) >= 3
+        # One record per nonzero transition, holding its flow's data alone.
+        assert len(doc["patterns"]) == np.count_nonzero(doc["transitions"])
+        assert all(set(rec) == {"inputs", "vx", "vy"} for rec in doc["patterns"])
         assert "patterns" in capsys.readouterr().out
 
     def test_k1_gives_single_atom(self, workdir, tmp_path):
@@ -183,6 +191,12 @@ class TestTrain:
         )
         assert rc == 0
         assert len(json.loads(out.read_text())["atoms"]) == 1
+
+    def test_out_into_missing_directory_exits_3(self, workdir, tmp_path, capsys):
+        out = tmp_path / "missing" / "m.json"
+        rc = main(["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]), "--out", str(out)])
+        assert rc == 3
+        assert f"cannot write output: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
 
     def test_empty_dataset_exits_3(self, workdir, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -371,10 +385,19 @@ def as_version_2(doc):
 
 def as_version_3(doc):
     """The model file as version 3 wrote it: no columns, atoms over every grid feature."""
+    as_version_4(doc)
     doc["version"] = 3
     atoms = np.zeros((len(doc["atoms"]), GridSpec(**doc["grid"]).dim))
     atoms[:, doc.pop("columns")] = doc["atoms"]
     doc["atoms"] = atoms.tolist()
+
+
+def as_version_4(doc):
+    """The model file as version 4 wrote it: each pattern record named its pair and prior weight."""
+    doc["version"] = 4
+    counts = np.array(doc["transitions"])
+    for (i, j), rec in zip(np.argwhere(counts).tolist(), doc["patterns"]):
+        rec.update(atoms=[i, j], prior_weight=float(counts[i, j] / counts.sum()))
 
 
 class TestEvaluate:
@@ -400,6 +423,37 @@ class TestEvaluate:
         assert rc == 0
         assert json.loads(report.read_text())["classification_accuracy"] == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("value", ["nan", "-5", "inf", "180.5"])
+    def test_threshold_outside_0_to_180_exits_2(self, workdir, model_a_path, tmp_path, capsys, value):
+        report = tmp_path / "report.json"
+        rc = main(
+            ["evaluate", "--model", str(model_a_path), "--data", str(workdir["test_a"]),
+             "--frame", str(workdir["frame_a"]), "--report", str(report), "--threshold", value]
+        )
+        assert rc == 2
+        assert "threshold must be an angle in [0, 180] degrees" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_report_into_missing_directory_exits_3(self, workdir, model_a_path, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.json"
+        rc = main(
+            ["evaluate", "--model", str(model_a_path), "--data", str(workdir["test_a"]),
+             "--frame", str(workdir["frame_a"]), "--report", str(report)]
+        )
+        assert rc == 3
+        assert f"cannot write output: [Errno 2] No such file or directory: '{report}'" in capsys.readouterr().err
+
+    def test_plots_under_a_file_exit_3(self, workdir, model_a_path, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(
+            ["evaluate", "--model", str(model_a_path), "--data", str(workdir["test_a"]),
+             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json"),
+             "--emit-plots", str(blocker / "plots")]
+        )
+        assert rc == 3
+        assert "cannot write output: [Errno 20] Not a directory" in capsys.readouterr().err
+
     def test_missing_model_exits_2(self, workdir, tmp_path):
         rc = main(
             ["evaluate", "--model", str(tmp_path / "missing.json"), "--data", str(workdir["test_a"]),
@@ -409,7 +463,7 @@ class TestEvaluate:
 
     def test_bad_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys):
         doc = json.loads(model_a_path.read_text())
-        doc["patterns"][0]["atoms"] = [len(doc["transitions"]), 0]
+        doc["transitions"][0][0] = -1
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(doc))
         rc = main(
@@ -417,7 +471,7 @@ class TestEvaluate:
              "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
         )
         assert rc == 2
-        assert "atom outside" in capsys.readouterr().err
+        assert "transitions must be nonnegative counts" in capsys.readouterr().err
 
     def test_non_finite_atom_exits_2(self, workdir, model_a_path, tmp_path, capsys):
         doc = json.loads(model_a_path.read_text())
@@ -439,8 +493,6 @@ class TestEvaluate:
             (lambda doc: doc["frame"].pop("curb2"), "missing keys ['curb2']"),
             (lambda doc: doc["config"].update(dt=float("nan")), "dt must be positive and finite"),
             (lambda doc: doc["config"].update(top_m=1.5), "top_m must be an integer"),
-            (lambda doc: doc["patterns"][0].update(atoms=[0.0, 1.0]), "pattern atoms must be a pair of integers"),
-            (lambda doc: doc["patterns"][0].update(atoms=[0]), "pattern atoms must be a pair of integers"),
             (lambda doc: doc["patterns"][0].update(extra=1), "pattern: unknown keys ['extra']"),
             (lambda doc: doc["patterns"][0]["vx"].pop(), "has vx of shape"),
             (lambda doc: doc["config"].update(k_atoms=99), "the dictionary has 12 atoms, config.k_atoms is 99"),
@@ -449,9 +501,8 @@ class TestEvaluate:
              "model file: unknown keys ['dictionary'], missing keys ['atoms']"),
             (lambda doc: doc["patterns"][0].update(kernel=doc["config"]["kernel"]), "pattern: unknown keys ['kernel']"),
             (as_version_1, "unsupported model version 1"),
-            (lambda doc: doc["patterns"].append(doc["patterns"][0]), "appears more than once"),
+            (lambda doc: doc["patterns"].append(doc["patterns"][0]), "29 pattern records for 28 nonzero transitions"),
             (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
-            (lambda doc: [p.update(prior_weight=1.0) for p in doc["patterns"]], "has prior weight 1.0"),
             (lambda doc: doc["config"]["kernel"].update(signal_sd=1e308),
              "signal_sd must be positive and finite, and so must its square"),
             (lambda doc: doc["config"]["kernel"].update(noise_sd=1e308),
@@ -474,7 +525,7 @@ class TestEvaluate:
             (lambda doc: doc["grid"].update(cell=0.5), "the grid has cell 0.5, config.grid_cell is 1.0"),
             (lambda doc: doc["config"].update(grid_cell=3.0), "the grid has cell 1.0, config.grid_cell is 3.0"),
             # Loading rejects it, not the first prediction.
-            (lambda doc: doc.update(patterns=[]), "no motion patterns: a pattern table needs at least one"),
+            (lambda doc: doc.update(patterns=[]), "0 pattern records for 28 nonzero transitions"),
             (as_version_3, "unsupported model version 3"),
             (lambda doc: doc["columns"].__setitem__(0, float(doc["columns"][0])),
              "model file columns must be a list of integers"),
@@ -485,16 +536,23 @@ class TestEvaluate:
             (lambda doc: doc["columns"].__setitem__(-1, GridSpec(**doc["grid"]).dim),
              "strictly increasing grid features, in [0, "),
             (lambda doc: doc["columns"].pop(), "columns for dictionary atoms of width"),
+            (as_version_4, "unsupported model version 4"),
+            (lambda doc: doc["patterns"].pop(), "27 pattern records for 28 nonzero transitions"),
+            (lambda doc: doc["transitions"][1].__setitem__(0, -1), "transitions must be nonnegative counts"),
+            (lambda doc: doc.update(transitions=np.zeros((12, 12), dtype=int).tolist()),
+             "28 pattern records for 0 nonzero transitions"),
+            (lambda doc: doc["transitions"][0].__setitem__(slice(0, 2), [2**62, 2**62]), "more than an int64 holds"),
         ],
-        ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m", "float-atoms", "one-atom",
+        ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m",
              "pattern-extra-key", "vx-vy-lengths", "dictionary-k", "dictionary-extra-key", "pattern-kernel",
-             "version-1", "duplicate-pattern", "float-transition", "prior-weight",
+             "version-1", "pattern-too-many", "float-transition",
              "signal-sd-overflow", "noise-sd-overflow", "t-obs-steps-overflow", "t-pred-steps-overflow",
              "grid-cells-overflow", "grid-features-overflow", "atom-norm-overflow", "curb-norm-overflow",
              "pattern-input-overflow", "pattern-weight-overflow", "zero-step-horizon",
              "version-2", "config-grid", "grid-cell", "config-grid-cell", "no-patterns",
              "version-3", "float-column", "bool-column", "nested-columns", "decreasing-columns",
-             "negative-column", "column-past-grid", "column-count"],
+             "negative-column", "column-past-grid", "column-count", "version-4", "pattern-too-few",
+             "negative-count", "zero-transitions", "wrapping-total"],
     )
     def test_malformed_model_file_exits_2(self, workdir, model_a_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_a_path.read_text())
@@ -512,7 +570,7 @@ class TestEvaluate:
         "doc, message",
         [
             ([], "model file must be a JSON object, got list"),
-            ({"version": 4}, "missing keys ['config', 'frame', 'grid', 'columns', 'atoms'"),
+            ({"version": 5}, "missing keys ['config', 'frame', 'grid', 'columns', 'atoms'"),
         ],
         ids=["list", "version-only"],
     )
@@ -535,6 +593,7 @@ class TestEvaluate:
     def test_reshaped_pattern_inputs_exit_2(self, workdir, model_a_path, tmp_path, capsys, regroup, shape):
         doc = json.loads(model_a_path.read_text())
         rec = doc["patterns"][0]
+        pair = tuple(np.argwhere(doc["transitions"])[0].tolist())  # the transitions name the patterns
         n = len(rec["inputs"])
         rec["inputs"] = regroup(rec["inputs"])
         bad = tmp_path / "bad_model.json"
@@ -544,7 +603,7 @@ class TestEvaluate:
              "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json")]
         )
         assert rc == 2
-        message = f"pattern {tuple(rec['atoms'])}: GP inputs must be (n, 2) with at least one training point"
+        message = f"pattern {pair}: GP inputs must be (n, 2) with at least one training point"
         assert f"{message}, got shape {shape(n)}" in capsys.readouterr().err
 
     def test_dt_mismatch_exits_3(self, workdir, model_a_path, tmp_path, capsys):
@@ -619,6 +678,25 @@ class TestCompare:
         for row in d1["rows"] + d2["rows"]:
             row["time"] = 0.0
         assert d1 == d2
+
+    def test_out_into_missing_directory_exits_3(self, workdir, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.json"
+        assert self._run(workdir, out) == 3
+        assert f"cannot write output: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-5", "inf"])
+    def test_threshold_outside_0_to_180_exits_2(self, workdir, tmp_path, capsys, value):
+        out = tmp_path / "c.json"
+        rc = main(
+            ["compare",
+             "--train-a", str(workdir["train_a"]), "--test-a", str(workdir["test_a"]),
+             "--train-b", str(workdir["train_b"]), "--test-b", str(workdir["test_b"]),
+             "--frame-a", str(workdir["frame_a"]), "--frame-b", str(workdir["frame_b"]),
+             "--out", str(out), "--threshold", value]
+        )
+        assert rc == 2
+        assert "threshold must be an angle in [0, 180] degrees" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dataset_exits_2(self, workdir, tmp_path):
         rc = main(

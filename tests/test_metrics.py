@@ -153,6 +153,12 @@ class TestClassificationAccuracy:
         with pytest.raises(ValueError):
             classification_accuracy([])
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -5.0, -1e-300, 180.000001, float("inf"), -float("inf")])
+    def test_threshold_outside_0_to_180_rejected(self, threshold):
+        results = [(pset(((1.0, 0.0), 1.0)), truth_to((1.0, 0.0)), (0.0, 0.0))]
+        with pytest.raises(ValueError, match=re.escape("threshold must be an angle in [0, 180] degrees")):
+            classification_accuracy(results, threshold=threshold)
+
 
 class TestEvaluate:
     def test_report_fields(self, model_a, small_a):
@@ -177,6 +183,13 @@ class TestEvaluate:
         tight = evaluate(model_a, small_a["test"], small_a["frame"], threshold=0.0)
         wide = evaluate(model_a, small_a["test"], small_a["frame"], threshold=40.0)
         assert tight.classification_accuracy <= wide.classification_accuracy + 1e-12
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -5.0, float("inf")])
+    def test_threshold_outside_0_to_180_rejected(self, model_a, small_a, monkeypatch, threshold):
+        # Rejected before any prediction is made.
+        monkeypatch.setattr(metrics, "predict_many", None)
+        with pytest.raises(ValueError, match=re.escape(f"got {threshold!r}")):
+            evaluate(model_a, small_a["test"], small_a["frame"], threshold=threshold)
 
     def test_weighted_mhd_flag(self, model_a, small_a):
         report = evaluate(model_a, small_a["test"], small_a["frame"], weighted_mhd=True)

@@ -195,6 +195,14 @@ class TestTrain:
             assert model_a.transitions[pat.atoms] > 0
             assert 0 < pat.prior_weight <= 1
 
+    def test_transitions_name_the_patterns(self, model_a):
+        # One pattern per nonzero count, row-major, its prior the count's share.
+        T = model_a.transitions
+        assert [p.atoms for p in model_a.patterns] == [tuple(pair) for pair in np.argwhere(T).tolist()]
+        assert all(type(a) is int for p in model_a.patterns for a in p.atoms)
+        assert [p.prior_weight for p in model_a.patterns] == [float(T[p.atoms] / T.sum()) for p in model_a.patterns]
+        assert [p.flow for p in model_a.patterns] == list(model_a.flows)
+
 
 def pattern_records(model) -> list:
     return [
@@ -765,8 +773,15 @@ class TestModelTable:
         assert loaded.table is not model_a.table and loaded.table.patterns == tuple(loaded.patterns)
         for name in ("inputs", "alpha", "offsets", "log_prior"):
             assert getattr(loaded.table, name).tobytes() == getattr(model_a.table, name).tobytes()
-        fewer = dataclasses.replace(model_a, patterns=model_a.patterns[:3])
-        assert fewer.table is not model_a.table and fewer.table.patterns == tuple(model_a.patterns[:3])
+        # The first three transitions alone, with their flows.
+        transitions = model_a.transitions.copy()
+        transitions.flat[np.flatnonzero(transitions)[3:]] = 0
+        fewer = dataclasses.replace(model_a, transitions=transitions, flows=model_a.flows[:3])
+        assert fewer.table is not model_a.table and fewer.table.patterns == tuple(fewer.patterns)
+        assert [p.atoms for p in fewer.patterns] == [p.atoms for p in model_a.patterns[:3]]
+        assert [p.prior_weight for p in fewer.patterns] == [
+            float(transitions[p.atoms] / transitions.sum()) for p in fewer.patterns
+        ]
         assert fewer.table.inputs.tobytes() == model_a.table.inputs[: model_a.table.offsets[3]].tobytes()
 
     def test_loaded_model_fits_with_the_config_kernel(self, model_a, small_a, tmp_path):
@@ -953,17 +968,6 @@ def edited_model_file(model, tmp_path, edit):
 
 
 class TestModelChecks:
-    @pytest.mark.parametrize("atom", ["negative", "k"])
-    def test_atom_index_out_of_range(self, model_a, tmp_path, atom):
-        k = model_a.dictionary.k
-        bad = -k if atom == "negative" else k
-
-        def edit(doc):
-            doc["patterns"][0]["atoms"] = [bad, 0]
-
-        with pytest.raises(ValueError, match=rf"atom outside \[0, {k}\)"):
-            load_model(edited_model_file(model_a, tmp_path, edit))
-
     @pytest.mark.parametrize("key, message", [("inputs", "GP inputs must lie within"), ("vx", "GP weights too large")])
     def test_pattern_values_out_of_reach_name_the_pattern(self, model_a, tmp_path, key, message):
         atoms = model_a.patterns[1].atoms
@@ -1033,7 +1037,7 @@ class TestModelChecks:
         "doc, message",
         [
             ([], "model file must be a JSON object, got list"),
-            ({"version": 4}, "model file: unknown keys [], missing keys ['config', 'frame', 'grid', 'columns'"),
+            ({"version": 5}, "model file: unknown keys [], missing keys ['config', 'frame', 'grid', 'columns'"),
         ],
         ids=["list", "version-only"],
     )
@@ -1053,9 +1057,6 @@ class TestModelChecks:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc["patterns"][0].update(atoms=[0.0, 1.0]), "pattern atoms must be a pair of integers"),
-            (lambda doc: doc["patterns"][0].update(atoms=[0]), "pattern atoms must be a pair of integers"),
-            (lambda doc: doc["patterns"][0].update(atoms=[True, 0]), "pattern atoms must be a pair of integers"),
             (lambda doc: doc["patterns"][0].update(extra=1), "pattern: unknown keys ['extra'], missing keys []"),
             (lambda doc: doc["patterns"][0].pop("vy"), "pattern: unknown keys [], missing keys ['vy']"),
             (lambda doc: doc["patterns"][0]["vy"].pop(), "has vx of shape"),
@@ -1064,11 +1065,17 @@ class TestModelChecks:
             # Version 1's dictionary record.
             (lambda doc: doc.update(dictionary={"k": 12, "atoms": doc.pop("atoms")}),
              "model file: unknown keys ['dictionary'], missing keys ['atoms']"),
-            (lambda doc: doc["patterns"].append(doc["patterns"][0]), "appears more than once"),
+            (lambda doc: doc["patterns"].append(doc["patterns"][0]), "35 pattern records for 34 nonzero transitions"),
+            (lambda doc: doc["patterns"].pop(), "33 pattern records for 34 nonzero transitions"),
             (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
-            (lambda doc: [p.update(prior_weight=1.0) for p in doc["patterns"]], "has prior weight 1.0"),
-            (lambda doc: doc["patterns"][-1].update(prior_weight=math.nextafter(doc["patterns"][-1]["prior_weight"], 1)),
-             "has prior weight"),
+            (lambda doc: doc["transitions"][0].__setitem__(0, -1), "transitions must be nonnegative counts"),
+            (lambda doc: doc.update(transitions=[[0] * 12] * 12), "34 pattern records for 0 nonzero transitions"),
+            (lambda doc: doc["transitions"][0].__setitem__(slice(0, 2), [2**62, 2**62]),
+             "more than an int64 holds"),
+            (lambda doc: doc.update(transitions=5), "transitions have shape (), expected (0, 0)"),
+            # Version 4's pattern record named its pair and prior.
+            (lambda doc: doc["patterns"][0].update(atoms=[0, 1], prior_weight=0.5),
+             "pattern: unknown keys ['atoms', 'prior_weight'], missing keys []"),
             (lambda doc: doc["columns"].__setitem__(1, 1.5), "model file columns must be a list of integers"),
             (lambda doc: doc.update(columns=[False] + doc["columns"][1:]), "columns must be a list of integers"),
             (lambda doc: doc.update(columns=[[c] for c in doc["columns"]]), "columns must be a list of integers"),
@@ -1078,9 +1085,10 @@ class TestModelChecks:
             (lambda doc: doc["columns"].append(2355), "77 columns for dictionary atoms of width 76"),
             (lambda doc: doc.update(columns=2**70), "model file columns must be a list of integers"),
         ],
-        ids=["float-atoms", "one-atom", "bool-atom", "pattern-extra-key", "pattern-missing-vy",
+        ids=["pattern-extra-key", "pattern-missing-vy",
              "vx-vy-lengths", "dictionary-k", "atom-count",
-             "dictionary-extra-key", "duplicate-pattern", "float-transition", "prior-weight", "prior-weight-ulp",
+             "dictionary-extra-key", "pattern-too-many", "pattern-too-few", "float-transition", "negative-count",
+             "zero-transitions", "wrapping-total", "scalar-transitions", "pattern-pair-keys",
              "float-column", "bool-column", "nested-columns", "repeated-column", "negative-column",
              "column-past-grid", "column-count", "columns-not-a-list"],
     )
@@ -1089,10 +1097,32 @@ class TestModelChecks:
             load_model(edited_model_file(model_a, tmp_path, edit))
 
     def test_model_rejects_duplicate_patterns_and_fractional_transitions(self, model_a):
-        with pytest.raises(ValueError, match=re.escape(f"pattern {model_a.patterns[0].atoms} appears more than once")):
-            dataclasses.replace(model_a, patterns=model_a.patterns + model_a.patterns[:1])
+        n = len(model_a.flows)
+        with pytest.raises(ValueError, match=re.escape(f"{n + 1} flows for {n} nonzero transitions")):
+            dataclasses.replace(model_a, flows=model_a.flows + model_a.flows[:1])
         with pytest.raises(ValueError, match="transitions must be integer counts, got float64"):
             dataclasses.replace(model_a, transitions=model_a.transitions + 0.7)
+
+    def test_model_rejects_counts_that_are_negative_zero_or_wrap(self, model_a):
+        T = model_a.transitions
+        negative = T.copy()
+        negative.flat[np.flatnonzero(T == 0)[0]] = -1
+        with pytest.raises(ValueError, match="transitions must be nonnegative counts"):
+            dataclasses.replace(model_a, transitions=negative)
+        with pytest.raises(ValueError, match="no motion patterns: a pattern table needs at least one"):
+            dataclasses.replace(model_a, transitions=np.zeros_like(T), flows=[])
+        # 144 counts of 2**59 sum to 2**66 + 2**63, which an int64 sum wraps.
+        with pytest.raises(ValueError, match="more than an int64 holds"):
+            dataclasses.replace(model_a, transitions=np.full_like(T, 2**59))
+        for big in (np.uint64, np.int64):
+            huge = np.zeros(T.shape, dtype=big)
+            huge.flat[np.flatnonzero(T)[:2]] = 2**62
+            with pytest.raises(ValueError, match="more than an int64 holds"):
+                dataclasses.replace(model_a, transitions=huge)
+
+    def test_patterns_are_derived_not_passed(self, model_a):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(model_a, patterns=model_a.patterns[:3])
 
     @pytest.mark.parametrize("kind", ["float", "2-d"])
     def test_model_rejects_columns_not_1d_integers(self, model_a, kind):

@@ -592,9 +592,27 @@ class TestStackedParity:
         assert len(sparse_coding.segment_stack(votes, ORACLE_DICT, rows=[0])) == 1
 
 
+def segs(*atoms, length=3):
+    """Consecutive segments of ``length`` points on the given atoms."""
+    return [Segment(a, length * n, length * (n + 1)) for n, a in enumerate(atoms)]
+
+
+class TestSegmentPairs:
+    def test_adjacent_pairs(self):
+        s = segs(0, 2, 1)
+        assert sparse_coding.segment_pairs(s) == [(s[0], s[1]), (s[1], s[2])]
+
+    def test_one_segment_pairs_with_itself(self):
+        s = segs(4)
+        assert sparse_coding.segment_pairs(s) == [(s[0], s[0])]
+
+    def test_no_segments_no_pairs(self):
+        assert sparse_coding.segment_pairs([]) == []
+
+
 class TestBuildTransitions:
     def test_single_pair(self):
-        T = build_transitions([[1, 2]], k_atoms=3)
+        T = build_transitions([segs(1, 2)], k_atoms=3)
         assert T[1, 2] == 1
         assert T.sum() == 1
 
@@ -602,29 +620,29 @@ class TestBuildTransitions:
         assert build_transitions([], k_atoms=4).sum() == 0
 
     def test_hand_counts(self):
-        T = build_transitions([[0, 1], [0, 1], [1, 0]], k_atoms=2)
+        T = build_transitions([segs(0, 1), segs(0, 1), segs(1, 0)], k_atoms=2)
         assert T[0, 1] == 2
         assert T[1, 0] == 1
         assert T.sum() == 3
 
     def test_single_segment_self_pair(self):
-        T = build_transitions([[5]], k_atoms=6)
+        T = build_transitions([segs(5)], k_atoms=6)
         assert T[5, 5] == 1
 
     def test_total_count_invariant(self):
         rng = np.random.default_rng(10)
-        seqs = []
+        seglists = []
         expected = 0
         for _ in range(50):
             length = rng.integers(1, 6)
-            seq = list(rng.integers(0, 4, size=length))
-            seqs.append(seq)
+            seq = rng.integers(0, 4, size=length).tolist()
+            seglists.append(segs(*seq))
             if length == 1:
                 expected += 1
             else:
                 expected += len(set(zip(seq[:-1], seq[1:])))
-        assert build_transitions(seqs, k_atoms=4).sum() == expected
+        assert build_transitions(seglists, k_atoms=4).sum() == expected
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            build_transitions([[0, 7]], k_atoms=3)
+        with pytest.raises(ValueError, match=r"atom index out of range for K=3: \[0, 7\]"):
+            build_transitions([segs(0, 7)], k_atoms=3)
