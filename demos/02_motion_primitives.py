@@ -7,7 +7,9 @@ trajectories segment into primitives and transitions.
 
 import numpy as np
 
-from tasnsc import GridSpec, build_transitions, featurize, learn_dictionary, segment, transform_trajectory
+from tasnsc import GridSpec, build_transitions, featurize, learn_dictionary, segment
+from tasnsc.geometry import curbside_stack
+from tasnsc.sparse_coding import pair_votes
 from tasnsc.synthgen import generate, scene_b
 
 
@@ -17,20 +19,21 @@ def main():
     frame = scene.frame()
     print(f"{len(dataset)} trajectories at a {np.degrees(scene.alpha):.0f} degree corner")
 
-    curbside = [transform_trajectory(frame, t) for t in dataset]
-    xy = np.vstack([t.xy for t in curbside])
+    # Every trajectory's points, stacked: trajectory t is xy[offsets[t]:offsets[t + 1]].
+    xy, offsets = curbside_stack(frame, dataset.trajectories)
     lo = np.floor(xy.min(axis=0)) - 1
     hi = np.ceil(xy.max(axis=0)) + 1
     grid = GridSpec(lo[0], hi[0], lo[1], hi[1], cell=1.0)
     print(f"grid: {grid.nx} x {grid.ny} cells x 4 direction channels = {grid.dim} features")
 
-    features = np.stack([featurize(t, grid) for t in curbside])
+    votes = pair_votes(xy, offsets, dataset.dt, grid)
+    features = featurize(votes, grid.dim)
     dictionary, codes = learn_dictionary(features, k_atoms=8, lam=0.1, iters=200, seed=0)
     print(f"\nobjective: {codes.objective[0]:.3f} -> {codes.objective[-1]:.3f}")
     print(f"codes nonnegative: {bool(np.all(codes.matrix >= 0))}")
     print(f"mean active atoms per trajectory: {np.mean((codes.matrix > 1e-6).sum(axis=0)):.2f}")
 
-    seglists = [segment(t, dictionary, grid) for t in curbside]
+    seglists = segment(votes, dictionary)
     print("\nsample segmentations (intent: atom runs):")
     for traj, segs in list(zip(dataset, seglists))[:6]:
         runs = " -> ".join(f"atom{s.atom}[{len(s)}pts]" for s in segs)

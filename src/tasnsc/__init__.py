@@ -33,7 +33,6 @@ from .predictor import (
     train,
 )
 from .sparse_coding import (
-    DegenerateMotionError,
     Dictionary,
     GridSpec,
     Segment,

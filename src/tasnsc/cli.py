@@ -8,6 +8,7 @@ overrides the defaults and explicit flags override the file.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -52,6 +53,17 @@ def _load_config(args) -> PipelineConfig:
     return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
+def _check_outputs(*paths, plot_dir=None) -> None:
+    """Before any work, raise the OSError that writing into a missing or read-only directory would; main exits 3."""
+    if plot_dir:
+        os.makedirs(plot_dir, exist_ok=True)
+        paths += (os.path.join(plot_dir, ""),)  # its dirname is plot_dir
+    for path in paths:
+        if not os.access(folder := os.path.dirname(path) or ".", os.W_OK):
+            code = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_generate(args) -> int:
     try:
         scene = load_scene(args.scene)
@@ -59,6 +71,7 @@ def _cmd_generate(args) -> int:
             scene = with_seed(scene, args.seed)
     except _CONFIG_ERRORS as exc:
         return _fail(EXIT_CONFIG, f"bad scene config: {exc}")
+    _check_outputs(args.out)
     try:
         dataset = generate(scene, args.n, dt=args.dt, tag=args.tag)
     except ValueError as exc:
@@ -75,6 +88,7 @@ def _cmd_train(args) -> int:
         frame = load_frame(args.frame)
     except _CONFIG_ERRORS as exc:
         return _fail(EXIT_CONFIG, str(exc))
+    _check_outputs(args.out)
     try:
         model = train(dataset, frame, config)
         save_model(model, args.out)
@@ -94,6 +108,7 @@ def _cmd_evaluate(args) -> int:
         frame = load_frame(args.frame)
     except _CONFIG_ERRORS as exc:
         return _fail(EXIT_CONFIG, str(exc))
+    _check_outputs(args.report, plot_dir=args.emit_plots)
     collected: list | None = [] if args.emit_plots else None
     try:
         report = evaluate(
@@ -108,7 +123,6 @@ def _cmd_evaluate(args) -> int:
         return _fail(EXIT_RUNTIME, f"evaluation failed: {exc}")
     report.to_json(args.report)
     if args.emit_plots:
-        os.makedirs(args.emit_plots, exist_ok=True)
         for observed, truth, pset in collected:
             name = observed.id.replace("/", "_") + ".csv"
             write_candidate_csv(os.path.join(args.emit_plots, name), observed, truth, pset)
@@ -127,6 +141,7 @@ def _cmd_compare(args) -> int:
         frame_b = load_frame(args.frame_b)
     except _CONFIG_ERRORS as exc:
         return _fail(EXIT_CONFIG, str(exc))
+    _check_outputs(args.out)
 
     # The comparison grid: baselines on their own intersection, the
     # transferable model both same- and cross-intersection.

@@ -45,19 +45,16 @@ from .sparse_coding import (
     Dictionary,
     GridSpec,
     build_transitions,
-    featurize_stack,
+    featurize,
     learn_dictionary,
     pair_votes,
+    segment,
     segment_pairs,
-    segment_stack,
 )
-from .trajectory import Dataset, Trajectory, TrajectoryError, velocity_stack
-# ``featurize``, ``segment``, ``transform_trajectory`` and ``velocities`` are
-# not called here; the benchmark's tracer wraps them as attributes of this
-# module.
+from .trajectory import Dataset, Trajectory, TrajectoryError, velocities
+# ``transform_trajectory`` is not called here; the benchmark's tracer wraps
+# it as an attribute of this module.
 from .geometry import transform_trajectory  # noqa: F401
-from .sparse_coding import featurize, segment  # noqa: F401
-from .trajectory import velocities  # noqa: F401
 
 __all__ = [
     "MODEL_VERSION",
@@ -319,7 +316,7 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
         )
 
     votes = replace(votes, index=np.searchsorted(columns, votes.index))  # onto the support
-    features = featurize_stack(votes, m)
+    features = featurize(votes, m)
     kept = np.flatnonzero(features.any(axis=1))
     if len(kept) < 2:
         raise PipelineError("fewer than 2 trajectories survived featurization")
@@ -327,10 +324,10 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     dictionary, codes = learn_dictionary(
         features[kept], config.k_atoms, config.sparsity, config.iters, config.seed
     )
-    seglists = segment_stack(votes, dictionary, config.min_segment, kept)
+    seglists = segment(votes, dictionary, config.min_segment, kept)
     transitions = build_transitions(seglists, config.k_atoms)
 
-    samples, rows = velocity_stack(xy, offsets, [dataset.dt] * len(dataset))
+    samples, rows = velocities(xy, offsets, [dataset.dt] * len(dataset))
     blocks: dict = {}
     for t, segs in zip(kept, seglists):
         vel = samples[rows[t] : rows[t + 1]]  # (x, y, vx, vy), one per point but the last
@@ -472,7 +469,7 @@ def predict_many(model: TasnscModel, test_frame: CurbsideFrame, observations) ->
     eff = _effective_frame(test_frame, cfg.mode)
     xy, offsets = curbside_stack(eff, observations)
     with np.errstate(over="ignore"):
-        stacked, rows = velocity_stack(xy, offsets, [o.dt for o in observations])
+        stacked, rows = velocities(xy, offsets, [o.dt for o in observations])
         # Scoring squares the samples.
         finite = np.isfinite(stacked * stacked).all(axis=1)
     if not finite.all():

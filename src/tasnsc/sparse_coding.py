@@ -19,12 +19,11 @@ The updates run in Gram form: the code pass reads from ``D^T X`` and
 
 The front end works on many trajectories at once, their points stacked in
 one array with offsets: :func:`pair_votes` derives the vote of every point
-pair in one pass, :func:`featurize_stack` builds the feature matrix with one
-``bincount``, and :func:`segment_stack` scores every point with one gather
-from the atoms and labels it with one ``argmax``. Each stage is elementwise
-per pair or point, so a trajectory gets the same bits stacked or alone;
-:func:`featurize` and :func:`segment` are the one-trajectory cases. Given
-votes re-indexed onto the features they reach, the stacks work on those alone.
+pair in one pass, :func:`featurize` builds the feature matrix with one
+``bincount``, and :func:`segment` scores every point with one gather from
+the atoms and labels it with one ``argmax``. Each stage is elementwise per
+pair or point, so a trajectory gets the same bits stacked or alone. Given
+votes re-indexed onto the features they reach, the stages work on those alone.
 """
 
 import logging
@@ -32,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trajectory import Trajectory, TrajectoryError
+from .trajectory import TrajectoryError
 
 __all__ = [
-    "DegenerateMotionError",
     "GridSpec",
     "Dictionary",
     "SparseCodes",
@@ -43,11 +41,9 @@ __all__ = [
     "PairVotes",
     "pair_votes",
     "featurize",
-    "featurize_stack",
     "learn_dictionary",
     "sparse_objective",
     "segment",
-    "segment_stack",
     "segment_pairs",
     "build_transitions",
 ]
@@ -55,10 +51,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 N_CHANNELS = 4  # +x, -x, +y, -y
-
-
-class DegenerateMotionError(ValueError):
-    """Raised when a trajectory carries no usable motion (all velocities zero)."""
 
 
 @dataclass(frozen=True)
@@ -182,44 +174,27 @@ def pair_votes(xy, offsets, dt: float, grid: GridSpec) -> PairVotes:
     return PairVotes(offsets, owner, (iy * grid.nx + ix) * N_CHANNELS + channel, voting, n_clipped)
 
 
-def _votes_of(traj: Trajectory, grid: GridSpec, what: str) -> PairVotes:
-    if len(traj) < 2:
-        raise TrajectoryError(f"{traj.id!r} is too short to {what}")
-    return pair_votes(traj.xy, (0, len(traj)), traj.dt, grid)
+def _voted(votes: PairVotes, dim: int, what: str) -> np.ndarray:
+    """The feature index of every voting pair, each checked to be below ``dim``, the number of ``what``."""
+    index = votes.index[votes.voting]
+    if index.size and (top := int(index.max())) >= dim:
+        raise ValueError(f"vote index {top} is past the {dim} {what}")
+    return index
 
 
-def featurize_stack(votes: PairVotes, dim: int) -> np.ndarray:
-    """(T, dim) features, one row per stacked trajectory (see :func:`featurize`).
+def featurize(votes: PairVotes, dim: int) -> np.ndarray:
+    """(T, dim) features, one row per stacked trajectory: its unit-norm vote counts over (cell, channel).
 
-    Built with one ``bincount`` over ``row * dim + index``, so every vote
-    index is below ``dim``. A row without a vote stays zero; every other row
-    is a unit vector. The norms are exact, because the counts are integers.
+    Built with one ``bincount`` over ``row * dim + index``; a vote index at or past ``dim`` raises
+    ``ValueError``. A row without a vote stays zero; every other row is a unit vector, with exact norms.
     """
     n_rows = len(votes.offsets) - 1
     rows = votes.owner[:-1][votes.voting]
-    counts = np.bincount(rows * dim + votes.index[votes.voting], minlength=n_rows * dim)
+    counts = np.bincount(rows * dim + _voted(votes, dim, "features"), minlength=n_rows * dim)
     X = counts.reshape(n_rows, dim).astype(float)
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))[:, None]
     np.divide(X, norms, out=X, where=norms > 0.0)
     return X
-
-
-def featurize(traj: Trajectory, grid: GridSpec) -> np.ndarray:
-    """Encode a trajectory as a unit-norm occupancy vector over (cell, channel).
-
-    Each consecutive point pair votes for the cell containing the segment
-    midpoint, in the channel of its dominant velocity direction. Midpoints
-    outside the grid are clipped to the border cell (counted and logged).
-    Pairs with zero velocity vote for nothing. The one-trajectory case of
-    :func:`pair_votes` and :func:`featurize_stack`.
-    """
-    votes = _votes_of(traj, grid, "featurize")
-    if votes.n_clipped:
-        logger.warning("%s: %d segment midpoints outside grid bounds were clipped", traj.id, votes.n_clipped)
-    feat = featurize_stack(votes, grid.dim)[0]
-    if not feat.any():
-        raise DegenerateMotionError(f"{traj.id!r} has no net motion to featurize")
-    return feat
 
 
 def sparse_objective(features: np.ndarray, atoms: np.ndarray, codes: np.ndarray, lam: float) -> float:
@@ -368,23 +343,24 @@ def _merge_short_runs(runs: list, scores: np.ndarray, min_len: int) -> list:
     return runs
 
 
-def segment_stack(votes: PairVotes, dictionary: Dictionary, min_len: int = 3, rows=None) -> list:
-    """Segments of each stacked trajectory in ``rows`` (all by default), see :func:`segment`.
+def segment(votes: PairVotes, dictionary: Dictionary, min_len: int = 3, rows=None) -> list:
+    """Segments of each stacked trajectory in ``rows`` (all by default): runs of points on one atom.
 
     Each of those trajectories needs at least 2 points. Every point's atom
-    scores come from one gather of the atoms at the vote indices; the last
-    point of a trajectory inherits the score of its incoming pair. One
-    ``argmax`` labels the points and one change-point pass finds the runs.
-    Only the merging of runs shorter than ``min_len`` loops per trajectory.
+    scores come from one gather of the atoms at the vote indices, which must
+    be below the atoms' width; the last point of a trajectory inherits the
+    score of its incoming pair. One ``argmax`` labels the points (ties go to
+    the lower atom) and one change-point pass finds the runs. Only the merging
+    of runs shorter than ``min_len`` loops per trajectory.
     """
     offsets = votes.offsets
     lengths = np.diff(offsets)
     rows = range(len(lengths)) if rows is None else rows
-    if np.any(lengths[np.asarray(rows, dtype=int)] < 2):
-        raise TrajectoryError("every segmented trajectory needs at least 2 points")
+    if (t := next((t for t in rows if lengths[t] < 2), None)) is not None:
+        raise TrajectoryError(f"stacked trajectory {t} has {lengths[t]} points, segmenting needs at least 2 points")
     n = int(offsets[-1])
     scores = np.zeros((n, dictionary.k))
-    scores[:-1][votes.voting] = dictionary.atoms[:, votes.index[votes.voting]].T
+    scores[:-1][votes.voting] = dictionary.atoms[:, _voted(votes, dictionary.atoms.shape[1], "atom columns")].T
     last = offsets[1:][lengths >= 2] - 1
     scores[last] = scores[last - 1]  # the last point inherits its incoming motion
     labels = np.argmax(scores, axis=1)  # argmax takes the first (lowest) index on ties
@@ -406,19 +382,6 @@ def segment_stack(votes: PairVotes, dictionary: Dictionary, min_len: int = 3, ro
         runs = _merge_short_runs(runs, scores[o : bounds[t + 1]], min_len)
         seglists.append([Segment(atom, start, stop) for atom, start, stop in runs])
     return seglists
-
-
-def segment(traj: Trajectory, dictionary: Dictionary, grid: GridSpec, min_len: int = 3) -> list[Segment]:
-    """Assign each point to its best atom and merge runs shorter than ``min_len``.
-
-    A short run joins whichever neighboring run's atom scores higher on the
-    short run's own points (left neighbor on ties). Ties in the per-point
-    argmax go to the lower atom index. The one-trajectory case of
-    :func:`pair_votes` and :func:`segment_stack`, with atoms over the grid.
-    """
-    if dictionary.atoms.shape[1] != grid.dim:
-        raise ValueError(f"atoms have {dictionary.atoms.shape[1]} columns, the grid has {grid.dim} features")
-    return segment_stack(_votes_of(traj, grid, "segment"), dictionary, min_len)[0]
 
 
 def segment_pairs(segments: list) -> list:

@@ -18,7 +18,6 @@ __all__ = [
     "Trajectory",
     "Dataset",
     "velocities",
-    "velocity_stack",
     "split_horizon",
     "load_dataset",
     "save_dataset",
@@ -121,18 +120,12 @@ class Dataset:
         return self.trajectories[0].dt
 
 
-def velocities(traj: Trajectory) -> np.ndarray:
-    """Forward differences: (n-1, 4) rows ``(x, y, vx, vy)``, the velocity at point k ``(p[k+1] - p[k]) / dt``."""
-    if len(traj) < 2:
-        raise TrajectoryError(f"{traj.id!r} has fewer than 2 points, no velocities")
-    return velocity_stack(traj.xy, (0, len(traj)), [traj.dt])[0]
+def velocities(xy, offsets, dts) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences of trajectories stacked in ``xy``, trajectory ``t`` at ``offsets[t]:offsets[t + 1]``.
 
-
-def velocity_stack(xy, offsets, dts) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`velocities` of trajectories stacked in ``xy``, trajectory ``t`` at ``offsets[t]:offsets[t + 1]``.
-
-    Trajectory ``t`` is sampled every ``dts[t]``, and its rows are ``rows[row_offsets[t]:row_offsets[t + 1]]``
-    of the returned ``(rows, row_offsets)``. The pairs that join two trajectories are dropped.
+    Each point but the last of trajectory ``t`` gives a row ``(x, y, vx, vy)``, the velocity at point k being
+    ``(p[k+1] - p[k]) / dts[t]``. Its rows are ``rows[row_offsets[t]:row_offsets[t + 1]]`` of the returned
+    ``(rows, row_offsets)``.
     """
     owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     rows = np.hstack((xy[:-1], np.diff(xy, axis=0) / np.asarray(dts)[owner[:-1], None]))

@@ -51,17 +51,33 @@ def test_tracer_targets_resolve(harness):
         assert hasattr(module, attr), f"{module.__name__}.{attr}"
 
 
-def test_paper_grid_in_process(harness, tmp_path):
+@pytest.fixture(scope="module")
+def traced_grid(harness, tmp_path_factory):
+    """One traced paper-grid run in process: its result, per-layer metrics and output directory."""
     tracing, workloads = harness
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path_factory.mktemp("paper-grid")
     with tracing.Tracer() as tracer:
-        result = workloads.paper_grid(0, 0.01, str(tmp_path), tracer)
+        result = workloads.paper_grid(0, 0.01, str(out), tracer)
+    return result, tracer.layer_metrics(), out
+
+
+def test_paper_grid_in_process(traced_grid):
+    result, layers, out = traced_grid
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert result.failed == 0
     assert result.problems == []
     assert result.attempted > 0
     assert {m["name"] for m in bench["end_to_end"]} - RUN_METRICS <= set(result.metrics)
-    assert {m["name"] for m in bench["per_layer"]} - RUN_METRICS <= set(tracer.layer_metrics())
-    assert list(tmp_path.iterdir()) == []
+    assert {m["name"] for m in bench["per_layer"]} - RUN_METRICS <= set(layers)
+    assert list(out.iterdir()) == []
+
+
+def test_front_end_stages_are_traced(traced_grid):
+    # The tracer wraps the stage names that train and predict_many call.
+    _, layers, _ = traced_grid
+    for stage in ("sparse_coding.featurize", "sparse_coding.segment", "trajectory.velocities"):
+        assert layers[f"{stage}_calls"][0] > 0, stage
+    assert 0 < layers["sparse_coding.feature_density"][0] <= 1
 
 
 def test_model_key_survives_reload(harness, model_a, tmp_path):

@@ -4,12 +4,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tasnsc import predictor
+from tasnsc import cli, predictor
 from tasnsc.cli import main
 from tasnsc.geometry import curbside_stack, frame_to_config, load_frame
 from tasnsc.sparse_coding import GridSpec, pair_votes
 from tasnsc.synthgen import scene_a, scene_b, scene_to_config
 from tasnsc.trajectory import load_dataset
+
+
+def no_work(name):
+    """Patch ``cli.<name>`` to fail the test if a command calls it."""
+    return mock.patch.object(cli, name, side_effect=AssertionError(f"{name} ran before the outputs were checked"))
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +59,8 @@ class TestGenerate:
 
     def test_out_into_missing_directory_exits_3(self, workdir, tmp_path, capsys):
         out = tmp_path / "missing" / "d.jsonl"
-        assert main(["generate", "--scene", str(workdir["scene_a"]), "--n", "2", "--out", str(out)]) == 3
+        with no_work("generate"):
+            assert main(["generate", "--scene", str(workdir["scene_a"]), "--n", "2", "--out", str(out)]) == 3
         assert f"cannot write output: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
 
     def test_seed_reproducible_byte_identical(self, workdir, tmp_path):
@@ -194,9 +200,21 @@ class TestTrain:
 
     def test_out_into_missing_directory_exits_3(self, workdir, tmp_path, capsys):
         out = tmp_path / "missing" / "m.json"
-        rc = main(["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]), "--out", str(out)])
+        with no_work("train"):
+            rc = main(
+                ["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]), "--out", str(out)]
+            )
         assert rc == 3
         assert f"cannot write output: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
+
+    def test_out_into_read_only_directory_exits_3(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        with no_work("train"), mock.patch.object(cli.os, "access", return_value=False):
+            rc = main(
+                ["train", "--data", str(workdir["train_a"]), "--frame", str(workdir["frame_a"]), "--out", str(out)]
+            )
+        assert rc == 3
+        assert f"cannot write output: [Errno 13] Permission denied: '{out}'" in capsys.readouterr().err
 
     def test_empty_dataset_exits_3(self, workdir, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -436,21 +454,23 @@ class TestEvaluate:
 
     def test_report_into_missing_directory_exits_3(self, workdir, model_a_path, tmp_path, capsys):
         report = tmp_path / "missing" / "r.json"
-        rc = main(
-            ["evaluate", "--model", str(model_a_path), "--data", str(workdir["test_a"]),
-             "--frame", str(workdir["frame_a"]), "--report", str(report)]
-        )
+        with no_work("evaluate"):
+            rc = main(
+                ["evaluate", "--model", str(model_a_path), "--data", str(workdir["test_a"]),
+                 "--frame", str(workdir["frame_a"]), "--report", str(report)]
+            )
         assert rc == 3
         assert f"cannot write output: [Errno 2] No such file or directory: '{report}'" in capsys.readouterr().err
 
     def test_plots_under_a_file_exit_3(self, workdir, model_a_path, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        rc = main(
-            ["evaluate", "--model", str(model_a_path), "--data", str(workdir["test_a"]),
-             "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json"),
-             "--emit-plots", str(blocker / "plots")]
-        )
+        with no_work("evaluate"):
+            rc = main(
+                ["evaluate", "--model", str(model_a_path), "--data", str(workdir["test_a"]),
+                 "--frame", str(workdir["frame_a"]), "--report", str(tmp_path / "r.json"),
+                 "--emit-plots", str(blocker / "plots")]
+            )
         assert rc == 3
         assert "cannot write output: [Errno 20] Not a directory" in capsys.readouterr().err
 
@@ -681,7 +701,8 @@ class TestCompare:
 
     def test_out_into_missing_directory_exits_3(self, workdir, tmp_path, capsys):
         out = tmp_path / "missing" / "c.json"
-        assert self._run(workdir, out) == 3
+        with no_work("train"):
+            assert self._run(workdir, out) == 3
         assert f"cannot write output: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "-5", "inf"])

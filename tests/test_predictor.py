@@ -24,7 +24,7 @@ from tasnsc.predictor import (
     save_model,
     train,
 )
-from tasnsc.sparse_coding import Dictionary, GridSpec, featurize, segment
+from tasnsc.sparse_coding import Dictionary, GridSpec, featurize, pair_votes, segment
 from tasnsc.synthgen import SceneSpec, generate, scene_a, scene_b, scene_to_config, with_seed
 from tasnsc.trajectory import Dataset, Trajectory, TrajectoryError, split_horizon, velocities
 
@@ -39,6 +39,16 @@ def straight_scene(**overrides):
     )
     base.update(overrides)
     return SceneSpec(**base)
+
+
+def votes_alone(traj, grid):
+    """The pair votes of ``traj`` stacked alone."""
+    return pair_votes(traj.xy, (0, len(traj)), traj.dt, grid)
+
+
+def velocities_alone(traj):
+    """The velocity rows of ``traj`` stacked alone."""
+    return velocities(traj.xy, (0, len(traj)), [traj.dt])[0]
 
 
 def grid_dictionary(model):
@@ -263,12 +273,8 @@ class TestStackedFrontEnd:
         hi = np.max([t.xy.max(axis=0) for t in curbside], axis=0)
         # Half the data's x range: many trajectories leave the grid.
         grid = GridSpec(lo[0] - 1.0, 0.5 * (lo[0] + hi[0]), lo[1] - 1.0, hi[1] + 1.0, cell=1.0)
-        with caplog.at_level("WARNING"):
-            for traj in curbside:
-                featurize(traj, grid)
-        counts = [int(re.search(r": (\d+) segment midpoints", r.getMessage()).group(1)) for r in caplog.records]
-        assert len(counts) > 1
-        caplog.clear()
+        counts = [votes_alone(traj, grid).n_clipped for traj in curbside]
+        assert np.count_nonzero(counts) > 1
         with caplog.at_level("WARNING"), mock.patch.object(predictor, "_fit_grid", return_value=grid):
             train(small_a["train"], frame, PipelineConfig(k_atoms=6, iters=40))
         assert [r.getMessage() for r in caplog.records] == [
@@ -281,9 +287,10 @@ class TestStackedFrontEnd:
                 mock.patch.object(predictor, "build_transitions", wraps=predictor.build_transitions) as count:
             model = train(small_a["train"], small_a["frame"], config)
         curbside = [transform_trajectory(small_a["frame"], t) for t in small_a["train"]]
-        features = np.stack([featurize(t, model.grid) for t in curbside])
+        alone = [votes_alone(t, model.grid) for t in curbside]
+        features = np.vstack([featurize(votes, model.grid.dim) for votes in alone])
         assert learn.call_args.args[0].tobytes() == features[:, model.columns].tobytes()
-        seglists = [segment(t, grid_dictionary(model), model.grid, config.min_segment) for t in curbside]
+        seglists = [segment(votes, grid_dictionary(model), config.min_segment)[0] for votes in alone]
         assert count.call_args.args[0] == seglists
 
     def test_non_finite_curbside_point_names_its_trajectory(self):
@@ -311,7 +318,7 @@ class TestStackedFrontEnd:
             predictor, "pattern_log_likelihood", wraps=predictor.pattern_log_likelihood
         ) as score:
             predict_many(model_a, frame, obs)
-        samples = [velocities(transform_trajectory(frame, o)) for o in obs]
+        samples = [velocities_alone(transform_trajectory(frame, o)) for o in obs]
         table, rows, counts = bound.call_args.args
         assert table is model_a.table
         assert rows.tobytes() == np.vstack(samples).tobytes()
@@ -375,7 +382,7 @@ class TestPredict:
             pset = predict(model_a, small_a["frame"], obs)
             top = pset.top()
             curb = transform_trajectory(small_a["frame"], traj)
-            segs = segment(curb, grid_dictionary(model_a), model_a.grid, cfg.min_segment)
+            segs = segment(votes_alone(curb, model_a.grid), grid_dictionary(model_a), cfg.min_segment)[0]
             atoms = [s.atom for s in segs]
             own = {(a, b) for a, b in zip(atoms[:-1], atoms[1:])} or {(atoms[0], atoms[0])}
             checked += 1
@@ -667,7 +674,7 @@ def exhaustive_top_patterns(patterns, samples, counts, top_m):
 
 
 def scoring_rows(frame, obs) -> list:
-    return [velocities(transform_trajectory(frame, o)) for o in obs]
+    return [velocities_alone(transform_trajectory(frame, o)) for o in obs]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from tasnsc import sparse_coding
 from tasnsc.sparse_coding import (
-    DegenerateMotionError,
     Dictionary,
     GridSpec,
     Segment,
@@ -27,6 +25,27 @@ def traj_from_xy(xy, dt=1.0, id="t"):
 
 
 GRID = GridSpec(0.0, 4.0, 0.0, 4.0, cell=1.0)
+
+
+def stacked(trajs):
+    """The trajectories' points in one array, with the offsets of each trajectory."""
+    offsets = np.concatenate(([0], np.cumsum([len(t) for t in trajs])))
+    return np.vstack([t.xy for t in trajs]), offsets
+
+
+def votes_of(trajs, grid=GRID):
+    """The pair votes of the trajectories stacked, all sampled every ``trajs[0].dt``."""
+    return sparse_coding.pair_votes(*stacked(trajs), trajs[0].dt, grid)
+
+
+def features_of(traj, grid=GRID):
+    """The feature row of ``traj`` stacked alone."""
+    return featurize(votes_of([traj], grid), grid.dim)[0]
+
+
+def segments_of(traj, dictionary, grid=GRID, min_len=3):
+    """The segments of ``traj`` stacked alone."""
+    return segment(votes_of([traj], grid), dictionary, min_len)[0]
 
 
 class TestGridSpec:
@@ -65,21 +84,21 @@ class TestGridSpec:
 
 class TestFeaturize:
     def test_single_eastward_step(self):
-        feat = featurize(traj_from_xy([[0.2, 0.2], [0.8, 0.2]]), GRID)
+        feat = features_of(traj_from_xy([[0.2, 0.2], [0.8, 0.2]]))
         nonzero = np.flatnonzero(feat)
         # Cell (0, 0), +x channel is feature index 0.
         assert list(nonzero) == [0]
         assert feat[0] == pytest.approx(1.0)
 
-    def test_stationary_rejected(self):
-        with pytest.raises(DegenerateMotionError):
-            featurize(traj_from_xy([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]), GRID)
+    def test_stationary_row_is_zero(self):
+        # No pair votes, so train drops the trajectory.
+        assert not features_of(traj_from_xy([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])).any()
 
     def test_l_shape_two_cells(self):
         # East step midpoint (1.0, 0.5) -> cell (1, 0) +x; north step
         # midpoint (1.5, 1.0) -> cell (1, 1) +y.
         grid = GridSpec(0.0, 2.0, 0.0, 2.0, cell=1.0)
-        feat = featurize(traj_from_xy([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5]]), grid)
+        feat = features_of(traj_from_xy([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5]]), grid)
         nonzero = sorted(np.flatnonzero(feat))
         assert nonzero == [(0 * 2 + 1) * 4 + 0, (1 * 2 + 1) * 4 + 2]
         assert np.allclose(feat[nonzero], 1 / np.sqrt(2))
@@ -88,18 +107,24 @@ class TestFeaturize:
         rng = np.random.default_rng(0)
         steps = rng.uniform(-0.4, 0.4, (30, 2))
         xy = 2.0 + np.cumsum(steps, axis=0)
-        feat = featurize(traj_from_xy(xy), GRID)
+        feat = features_of(traj_from_xy(xy))
         assert np.linalg.norm(feat) == pytest.approx(1.0)
 
-    def test_out_of_bounds_clipped(self, caplog):
-        with caplog.at_level("WARNING"):
-            feat = featurize(traj_from_xy([[-3.0, 0.5], [-2.0, 0.5]]), GRID)
-        assert np.linalg.norm(feat) == pytest.approx(1.0)
-        assert "clipped" in caplog.text
+    def test_out_of_bounds_clipped(self):
+        votes = votes_of([traj_from_xy([[-3.0, 0.5], [-2.0, 0.5]])])
+        assert votes.n_clipped == 1
+        assert np.linalg.norm(featurize(votes, GRID.dim)) == pytest.approx(1.0)
 
     def test_too_short(self):
-        with pytest.raises(TrajectoryError):
-            featurize(traj_from_xy(np.zeros((1, 2))), GRID)
+        # A trajectory of fewer than 2 points has no pair to vote.
+        assert not features_of(traj_from_xy(np.zeros((1, 2)))).any()
+
+    def test_vote_past_the_features_names_it(self):
+        votes = votes_of([traj_from_xy([[0.5, 0.5], [1.5, 0.5], [3.5, 3.5]])])
+        top = int(votes.index[votes.voting].max())
+        with pytest.raises(ValueError, match=f"vote index {top} is past the {top} features"):
+            featurize(votes, top)
+        assert featurize(votes, top + 1).shape == (1, top + 1)
 
 
 def planted_data(rng, n_per=50, dim=16, noise=0.01):
@@ -373,7 +398,7 @@ class TestSegment:
     def test_single_atom_support(self):
         d = handmade_dictionary()
         traj = traj_from_xy([[0.5, 0.5], [1.5, 0.5], [2.5, 0.5], [3.4, 0.5]])
-        segs = segment(traj, d, GRID)
+        segs = segments_of(traj, d)
         assert len(segs) == 1
         assert segs[0].atom == 0
         assert (segs[0].start, segs[0].stop) == (0, 4)
@@ -383,14 +408,14 @@ class TestSegment:
         traj = traj_from_xy(
             [[0.5, 0.5], [1.5, 0.5], [2.5, 0.5], [3.5, 0.5], [3.5, 1.5], [3.5, 2.5], [3.5, 3.5]]
         )
-        segs = segment(traj, d, GRID)
+        segs = segments_of(traj, d)
         assert [s.atom for s in segs] == [0, 1]
         assert segs[0].stop == segs[1].start
 
     def test_no_support_tie_breaks_to_zero(self):
         d = handmade_dictionary()
         traj = traj_from_xy([[3.5, 0.5], [2.5, 0.5], [1.5, 0.5], [0.5, 0.5]])  # westbound
-        segs = segment(traj, d, GRID)
+        segs = segments_of(traj, d)
         assert len(segs) == 1
         assert segs[0].atom == 0
 
@@ -401,15 +426,15 @@ class TestSegment:
         traj = traj_from_xy(
             [[0.5, 0.5], [1.5, 0.5], [2.5, 0.5], [3.2, 0.5], [3.2, 1.5], [3.3, 1.5], [3.4, 1.5]]
         )
-        segs = segment(traj, d, GRID, min_len=4)
+        segs = segments_of(traj, d, min_len=4)
         assert len(segs) == 1
 
     def test_atoms_off_the_grid_rejected(self):
-        # Atoms over a model's voted features index other features than the grid's.
+        # Atoms narrower than the grid: the northbound vote in the top-right cell is past them.
         d = Dictionary(atoms=handmade_dictionary().atoms[:, :-4])
-        traj = traj_from_xy([[0.5, 0.5], [1.5, 0.5], [2.5, 0.5]])
-        with pytest.raises(ValueError, match=f"atoms have {GRID.dim - 4} columns, the grid has {GRID.dim} features"):
-            segment(traj, d, GRID)
+        traj = traj_from_xy([[3.5, 2.5], [3.5, 3.5], [3.5, 3.9]])
+        with pytest.raises(ValueError, match=f"vote index {GRID.dim - 2} is past the {GRID.dim - 4} atom columns"):
+            segments_of(traj, d)
 
 
 def oracle_pairs(traj, grid):
@@ -494,20 +519,10 @@ class TestPairRuleOracle:
         expected = np.zeros(ORACLE_GRID.dim)
         for _, idx, _ in votes:
             expected[idx] += 1.0
-        n_clipped = sum(clipped for _, _, clipped in votes)
-        with mock.patch.object(sparse_coding.logger, "warning") as warn:
-            if not votes:
-                with pytest.raises(DegenerateMotionError):
-                    featurize(traj, ORACLE_GRID)
-                return
-            feat = featurize(traj, ORACLE_GRID)
-        assert np.array_equal(feat, expected / np.linalg.norm(expected))
-        if n_clipped:
-            (fmt, *args), _ = warn.call_args
-            assert warn.call_count == 1
-            assert fmt % tuple(args) == f"{traj.id}: {n_clipped} segment midpoints outside grid bounds were clipped"
-        else:
-            assert not warn.called
+        alone = votes_of([traj], ORACLE_GRID)
+        assert alone.n_clipped == sum(clipped for _, _, clipped in votes)
+        feat = featurize(alone, ORACLE_GRID.dim)[0]
+        assert np.array_equal(feat, expected / np.linalg.norm(expected) if votes else expected)
 
     @settings(max_examples=80, deadline=None)
     @given(traj=_trajectories)
@@ -519,7 +534,7 @@ class TestPairRuleOracle:
         labels = np.argmax(scores, axis=1)
         bounds = [0] + [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]] + [len(labels)]
         expected = [Segment(int(labels[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        assert segment(traj, ORACLE_DICT, ORACLE_GRID, min_len=1) == expected
+        assert segments_of(traj, ORACLE_DICT, ORACLE_GRID, min_len=1) == expected
 
 
 # Standstills score zero under every atom, so a short run of them scores
@@ -538,20 +553,14 @@ class TestSegmentMerges:
     @example(traj=_TIED_NEIGHBORS, min_len=2)
     def test_matches_relabel_and_rescan(self, traj, min_len):
         expected = rescan_segments(oracle_scores(traj), min_len)
-        assert segment(traj, ORACLE_DICT, ORACLE_GRID, min_len=min_len) == expected
-
-
-def stacked(trajs):
-    """The trajectories' points in one array, with the offsets of each trajectory."""
-    offsets = np.concatenate(([0], np.cumsum([len(t) for t in trajs])))
-    return np.vstack([t.xy for t in trajs]), offsets
+        assert segments_of(traj, ORACLE_DICT, ORACLE_GRID, min_len=min_len) == expected
 
 
 _SHORT = [traj_from_xy(np.empty((0, 2)), dt=0.5, id="empty"), traj_from_xy([[0.5, 0.5]], dt=0.5, id="single")]
 
 
 class TestStackedParity:
-    """The stacked front end gives each trajectory what :func:`featurize` and :func:`segment` give it alone."""
+    """A one-trajectory stack gives that trajectory's rows of the full stack, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -560,24 +569,15 @@ class TestStackedParity:
     )
     @example(trajs=[_SHORT[0], _ALL_CASES, _SHORT[1], _TIED_NEIGHBORS, _SHORT[0]], min_len=2)
     def test_matches_one_trajectory_at_a_time(self, trajs, min_len):
-        xy, offsets = stacked(trajs)
-        votes = sparse_coding.pair_votes(xy, offsets, 0.5, ORACLE_GRID)
-        X = sparse_coding.featurize_stack(votes, ORACLE_GRID.dim)
-        kept, n_clipped = [], 0
-        with mock.patch.object(sparse_coding.logger, "warning") as warn:
-            for t, (traj, row) in enumerate(zip(trajs, X)):
-                try:
-                    feat = featurize(traj, ORACLE_GRID)
-                except (DegenerateMotionError, TrajectoryError):
-                    assert not row.any()
-                    continue
-                assert row.tobytes() == feat.tobytes()
-                kept.append(t)
-        for (fmt, *args), _ in warn.call_args_list:
-            n_clipped += args[1]
-        assert votes.n_clipped == n_clipped
-        expected = [segment(trajs[t], ORACLE_DICT, ORACLE_GRID, min_len) for t in kept]
-        assert sparse_coding.segment_stack(votes, ORACLE_DICT, min_len, kept) == expected
+        votes = votes_of(trajs, ORACLE_GRID)
+        X = featurize(votes, ORACLE_GRID.dim)
+        alone = [votes_of([traj], ORACLE_GRID) for traj in trajs]
+        for row, one in zip(X, alone):
+            assert featurize(one, ORACLE_GRID.dim)[0].tobytes() == row.tobytes()
+        assert votes.n_clipped == sum(one.n_clipped for one in alone)
+        rows = [t for t, traj in enumerate(trajs) if len(traj) >= 2]
+        expected = [segment(alone[t], ORACLE_DICT, min_len)[0] for t in rows]
+        assert segment(votes, ORACLE_DICT, min_len, rows) == expected
 
     def test_flat_points_rejected(self):
         xy, offsets = stacked([_ALL_CASES])
@@ -585,11 +585,15 @@ class TestStackedParity:
             sparse_coding.pair_votes(xy.ravel(), offsets, 0.5, ORACLE_GRID)
 
     def test_short_trajectory_not_segmented(self):
-        xy, offsets = stacked([_ALL_CASES, _SHORT[1]])
-        votes = sparse_coding.pair_votes(xy, offsets, 0.5, ORACLE_GRID)
+        votes = votes_of([_ALL_CASES, _SHORT[1]], ORACLE_GRID)
         with pytest.raises(TrajectoryError, match="at least 2 points"):
-            sparse_coding.segment_stack(votes, ORACLE_DICT)
-        assert len(sparse_coding.segment_stack(votes, ORACLE_DICT, rows=[0])) == 1
+            segment(votes, ORACLE_DICT)
+        assert len(segment(votes, ORACLE_DICT, rows=[0])) == 1
+
+    def test_short_trajectory_named_by_its_row(self):
+        votes = votes_of([_ALL_CASES, _SHORT[1], _SHORT[0]], ORACLE_GRID)
+        with pytest.raises(TrajectoryError, match="stacked trajectory 2 has 0 points"):
+            segment(votes, ORACLE_DICT, rows=[0, 2, 1])
 
 
 def segs(*atoms, length=3):

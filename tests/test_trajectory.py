@@ -11,8 +11,12 @@ from tasnsc.trajectory import (
     save_dataset,
     split_horizon,
     velocities,
-    velocity_stack,
 )
+
+
+def velocities_of(traj):
+    """The velocity rows of ``traj`` stacked alone."""
+    return velocities(traj.xy, (0, len(traj)), [traj.dt])[0]
 
 
 def walk(id="w", dt=0.5, n=16, vx=1.4, vy=0.0, x0=0.0, y0=0.0):
@@ -80,23 +84,25 @@ class TestTrajectory:
 
 class TestVelocities:
     def test_straight_walk(self):
-        v = velocities(walk(vx=1.4, n=10))
+        v = velocities_of(walk(vx=1.4, n=10))
         assert np.allclose(v[:, 2], 1.4)
         assert np.allclose(v[:, 3], 0.0)
 
     def test_stationary(self):
         traj = Trajectory(id="s", dt=0.5, times=[0, 0.5, 1.0], xy=np.ones((3, 2)))
-        v = velocities(traj)
+        v = velocities_of(traj)
         assert np.allclose(v[:, 2:], 0.0)
 
     def test_forward_difference(self):
         traj = Trajectory(id="f", dt=1.0, times=[0, 1, 2], xy=[[0, 0], [1, 0], [1, 1]])
-        v = velocities(traj)
+        v = velocities_of(traj)
         assert np.allclose(v[:, 2:], [[1, 0], [0, 1]])
 
     def test_too_short(self):
-        with pytest.raises(TrajectoryError):
-            velocities(Trajectory(id="x", dt=0.5, times=[0.0], xy=[[0, 0]]))
+        # One point has no forward difference.
+        rows, row_offsets = velocities(np.zeros((1, 2)), (0, 1), [0.5])
+        assert rows.shape == (0, 4)
+        assert row_offsets.tolist() == [0, 0]
 
     def test_stack_is_bitwise_each_trajectory_alone(self):
         # Empty and one-point trajectories add no rows; each pair is
@@ -106,14 +112,19 @@ class TestVelocities:
             parts = [rng.uniform(-60, 60, (n, 2)) for n in rng.choice([0, 1, *range(2, 40)], 12)]
             dts = rng.choice([0.25, 0.5, 0.5 + 5e-10, 1.0 / 3.0], len(parts))
             offsets = np.cumsum([0] + [len(p) for p in parts])
-            rows, row_offsets = velocity_stack(np.vstack(parts), offsets, dts)
-            alone = [np.hstack((p[:-1], np.diff(p, axis=0) / dt)) for p, dt in zip(parts, dts) if len(p) >= 2]
+            rows, row_offsets = velocities(np.vstack(parts), offsets, dts)
+            alone = [velocities(p, (0, len(p)), [dt])[0] for p, dt in zip(parts, dts)]
             assert rows.tobytes() == np.vstack(alone).tobytes()
-            assert row_offsets.tolist() == np.cumsum([0] + [max(len(p) - 1, 0) for p in parts]).tolist()
+            assert row_offsets.tolist() == np.cumsum([0] + [len(a) for a in alone]).tolist()
+            # The forward-difference rule itself, pair by pair.
+            assert all(
+                np.array_equal(a, np.hstack((p[:-1], np.diff(p, axis=0) / dt)))
+                for a, p, dt in zip(alone, parts, dts) if len(p) >= 2
+            )
 
     def test_constant_after_resample(self):
         traj = walk(vx=1.1, vy=-0.4, n=24, dt=0.25)
-        v = velocities(traj)
+        v = velocities_of(traj)
         assert np.max(np.abs(v[:, 2] - 1.1)) < 1e-9
         assert np.max(np.abs(v[:, 3] + 0.4)) < 1e-9
 
