@@ -26,7 +26,7 @@ def main():
     grid = GridSpec(lo[0], hi[0], lo[1], hi[1], cell=1.0)
     print(f"grid: {grid.nx} x {grid.ny} cells x 4 direction channels = {grid.dim} features")
 
-    votes = pair_votes(xy, offsets, dataset.dt, grid)
+    votes = pair_votes(xy, offsets, grid)
     features = featurize(votes, grid.dim)
     dictionary, codes = learn_dictionary(features, k_atoms=8, lam=0.1, iters=200, seed=0)
     print(f"\nobjective: {codes.objective[0]:.3f} -> {codes.objective[-1]:.3f}")

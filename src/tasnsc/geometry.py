@@ -17,12 +17,12 @@ followed by the constant shear/scale matrix
 which collapses to the identity when the curbs are orthogonal. Affinity is
 what makes motion primitives learned at one intersection reusable at
 another: collinearity, parallelism and distance ratios survive the map.
-Every conversion evaluates its closed form row by row, so a point maps to
-the same bits alone as in any batch.
+A frame builds the map and its inverse once; every conversion applies one
+row by row, so a point maps to the same bits alone as in any batch.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,17 +60,51 @@ def _as_point(p) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class AffineMap2D:
+    """An invertible affine map ``p -> linear @ p + translation``."""
+
+    linear: np.ndarray
+    translation: np.ndarray
+
+    def __post_init__(self):
+        lin, tr = np.array(self.linear, dtype=float), np.array(self.translation, dtype=float)
+        if lin.shape != (2, 2) or tr.shape != (2,):
+            raise ValueError("linear must be 2x2 and translation length 2")
+        if not abs(lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]) > 1e-12:
+            raise ValueError("affine map is not invertible")
+        for name, value in (("linear", lin), ("translation", tr)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def apply(self, points) -> np.ndarray:
+        """``linear @ q + translation`` for each point ``q`` along the last axis: one (2,) or a batch (n, 2).
+
+        Two products and two sums per output coordinate, each one ufunc over the batch, so a row
+        gets the same bits in any batch. Overflow gives inf or NaN unwarned; callers check for it.
+        """
+        pts = np.asarray(points, dtype=float)
+        if pts.shape[-1:] != (2,):
+            raise ValueError(f"expected 2-D points along the last axis, got shape {pts.shape}")
+        x, y = pts[..., 0], pts[..., 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([a * x + b * y + t for (a, b), t in zip(self.linear, self.translation)], axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
 class CurbsideFrame:
     """Intersection corner plus unit vectors along the two curbs.
 
     ``origin``, ``e1`` and ``e2`` are expressed in the local frame of the
-    intersection. The axes must not be (anti)parallel; the curb angle
-    ``alpha`` is derived from them.
+    intersection. The axes must not be (anti)parallel. Derived from them are
+    the curb angle ``alpha`` and two maps: ``to_curb``, the curb basis
+    inverted by Cramer's rule, and its inverse ``to_local``.
     """
 
     origin: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
+    to_curb: AffineMap2D = field(init=False, repr=False)
+    to_local: AffineMap2D = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("origin", "e1", "e2"):
@@ -83,60 +117,16 @@ class CurbsideFrame:
             raise DegenerateFrameError("curb axes must be unit vectors")
         if np.sqrt(max(0.0, 1.0 - float(self.e1 @ self.e2) ** 2)) < _MIN_SIN_ALPHA:
             raise DegenerateFrameError("curbs are parallel or antiparallel")
+        (a, c), (b, d), (ox, oy) = self.e1.tolist(), self.e2.tolist(), self.origin.tolist()
+        det = a * d - b * c
+        linear = ((d / det, -b / det), (-c / det, a / det))
+        object.__setattr__(self, "to_curb", AffineMap2D(linear, [-(u * ox + v * oy) for u, v in linear]))
+        object.__setattr__(self, "to_local", AffineMap2D(np.column_stack((self.e1, self.e2)), self.origin))
 
     @property
     def alpha(self) -> float:
         """The curb angle ``arccos(e1 . e2)`` in radians, strictly inside (0, pi)."""
         return float(np.arccos(np.clip(self.e1 @ self.e2, -1.0, 1.0)))
-
-    @property
-    def basis(self) -> np.ndarray:
-        """2x2 matrix with e1 and e2 as columns."""
-        return np.column_stack((self.e1, self.e2))
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMap2D:
-    """An invertible affine map ``p -> linear @ p + translation``."""
-
-    linear: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        lin, tr = np.array(self.linear, dtype=float), np.array(self.translation, dtype=float)
-        if lin.shape != (2, 2) or tr.shape != (2,):
-            raise ValueError("linear must be 2x2 and translation length 2")
-        if abs(np.linalg.det(lin)) <= 1e-12:
-            raise ValueError("affine map is not invertible")
-        for name, value in (("linear", lin), ("translation", tr)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    def apply(self, points) -> np.ndarray:
-        """Apply to one point (2,) or a batch (n, 2)."""
-        return _affine(self.linear, self.translation, points)
-
-
-def _affine(linear, translation, p) -> np.ndarray:
-    """``linear @ q + translation`` for each point ``q`` along the last axis of ``p``.
-
-    Two products and two sums per output coordinate, each one ufunc over the batch, so a row
-    gets the same bits in any batch. Overflow gives inf or NaN unwarned; callers check for it.
-    """
-    pts = np.asarray(p, dtype=float)
-    if pts.shape[-1:] != (2,):
-        raise ValueError(f"expected 2-D points along the last axis, got shape {pts.shape}")
-    x, y = pts[..., 0], pts[..., 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack([a * x + b * y + t for (a, b), t in zip(linear, translation)], axis=-1)
-
-
-def _curbside_coefficients(frame) -> tuple:
-    """``(linear, translation)`` of :func:`to_curbside`: the curb basis inverted by Cramer's rule."""
-    (a, c), (b, d), (ox, oy) = frame.e1.tolist(), frame.e2.tolist(), frame.origin.tolist()
-    det = a * d - b * c
-    linear = ((d / det, -b / det), (-c / det, a / det))
-    return linear, tuple(-(u * ox + v * oy) for u, v in linear)
 
 
 def frame_from_curbs(origin, dir1, dir2) -> CurbsideFrame:
@@ -163,13 +153,13 @@ def identity_frame() -> CurbsideFrame:
 
 
 def curbside_transform(frame: CurbsideFrame) -> AffineMap2D:
-    """The full affine map from local coordinates to contravariant components.
+    """The full affine map from local coordinates to contravariant components: ``frame.to_curb``.
 
-    It holds the coefficients of :func:`to_curbside`, whose bits ``apply`` gives: the inverse
-    of the curb basis and the contravariant image of the local origin. Geometrically, that is
-    the rigid motion and skew matrix of the module docstring, composed.
+    It holds the inverse of the curb basis and the contravariant image of the local origin, the
+    map that :func:`to_curbside` applies. Geometrically, that is the rigid motion and skew matrix
+    of the module docstring, composed.
     """
-    return AffineMap2D(*_curbside_coefficients(frame))
+    return frame.to_curb
 
 
 def to_curbside(frame: CurbsideFrame, p) -> np.ndarray:
@@ -179,12 +169,12 @@ def to_curbside(frame: CurbsideFrame, p) -> np.ndarray:
     single point (2,) or a batch (n, 2). The curb basis is inverted in
     closed form, which is valid for every quadrant.
     """
-    return _affine(*_curbside_coefficients(frame), p)
+    return frame.to_curb.apply(p)
 
 
 def from_curbside(frame: CurbsideFrame, p) -> np.ndarray:
     """Inverse of :func:`to_curbside`: contravariant components to local point(s), along the last axis of ``p``."""
-    return _affine(frame.basis, frame.origin, p)
+    return frame.to_local.apply(p)
 
 
 def curbside_stack(frame: CurbsideFrame, trajectories) -> tuple[np.ndarray, np.ndarray]:

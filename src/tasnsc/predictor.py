@@ -298,7 +298,7 @@ def train(dataset: Dataset, frame: CurbsideFrame, config: PipelineConfig | None 
     _check_dt(dataset.dt, config, "training data")
     xy, offsets = curbside_stack(_effective_frame(frame, config.mode), dataset.trajectories)
     grid = _fit_grid(xy, config.grid_cell)
-    votes = pair_votes(xy, offsets, dataset.dt, grid)
+    votes = pair_votes(xy, offsets, grid)
     if votes.n_clipped:
         logger.warning("%d segment midpoints outside grid bounds were clipped", votes.n_clipped)
     columns = np.unique(votes.index[votes.voting])

@@ -91,12 +91,12 @@ class GridSpec:
 class Dictionary:
     """K learned motion primitives, one unit-norm feature vector per row."""
 
-    atoms: np.ndarray  # (K, dim)
+    atoms: np.ndarray  # (K, m): m features, in a model its ``columns``
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
         if atoms.ndim != 2:
-            raise ValueError("atoms must be a (K, dim) array")
+            raise ValueError("atoms must be a (K, m) array")
         if not np.all(np.isfinite(atoms)):
             raise ValueError("dictionary atoms contain non-finite values")
         with np.errstate(over="ignore"):  # a norm that overflows is rejected below
@@ -137,7 +137,7 @@ class PairVotes:
     and ``owner[k]`` is the trajectory of point ``k``. Entry ``k`` of
     ``index`` and ``voting`` describes the pair of stacked points
     ``(k, k + 1)``: its feature index, and whether it votes (both points in
-    one trajectory, nonzero velocity). ``n_clipped`` counts the votes whose
+    one trajectory, and they differ). ``n_clipped`` counts the votes whose
     midpoint was clipped to the grid.
     """
 
@@ -148,24 +148,24 @@ class PairVotes:
     n_clipped: int
 
 
-def pair_votes(xy, offsets, dt: float, grid: GridSpec) -> PairVotes:
-    """Votes of the point pairs of trajectories stacked in ``xy`` (N, 2), sampled every ``dt``.
+def pair_votes(xy, offsets, grid: GridSpec) -> PairVotes:
+    """Votes of the point pairs of trajectories stacked in ``xy`` (N, 2).
 
     A pair votes in the cell of its segment midpoint, clipped to the border
-    cell when outside the grid, and in the channel of its dominant velocity
-    component (+x, -x, +y, -y; x wins ties). A zero-velocity pair, or one
-    that joins two trajectories, does not vote; its feature index is
-    meaningless. Every stage is elementwise, so a trajectory's votes are
-    the same bits stacked or alone.
+    cell when outside the grid, and in the channel of its dominant
+    displacement component (+x, -x, +y, -y; x wins ties), so no time step
+    enters. A pair of equal points, or one that joins two trajectories,
+    does not vote; its feature index is meaningless. Every stage is
+    elementwise, so a trajectory's votes are the same bits stacked or alone.
     """
     xy = np.asarray(xy, dtype=float)
     if xy.shape[1:] != (2,):
         raise ValueError(f"stacked points must be (N, 2), got shape {xy.shape}")
     offsets = np.asarray(offsets, dtype=int)
     owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    vx, vy = (np.diff(xy, axis=0) / dt).T
-    channel = np.where(np.abs(vx) >= np.abs(vy), np.where(vx > 0, 0, 1), np.where(vy > 0, 2, 3))
-    voting = ((vx != 0.0) | (vy != 0.0)) & (owner[:-1] == owner[1:])
+    dx, dy = np.diff(xy, axis=0).T
+    channel = np.where(np.abs(dx) >= np.abs(dy), np.where(dx > 0, 0, 1), np.where(dy > 0, 2, 3))
+    voting = ((dx != 0.0) | (dy != 0.0)) & (owner[:-1] == owner[1:])
     mids = 0.5 * (xy[:-1] + xy[1:])
     cells = np.floor((mids - (grid.x_min, grid.y_min)) / grid.cell)
     hi = (grid.nx - 1, grid.ny - 1)

@@ -322,7 +322,7 @@ class TestTrain:
         grid = GridSpec(**doc["grid"])
         assert grid.dim > 2**26
         data = load_dataset(workdir["train_a"])
-        votes = pair_votes(*curbside_stack(load_frame(workdir["frame_a"]), data.trajectories), data.dt, grid)
+        votes = pair_votes(*curbside_stack(load_frame(workdir["frame_a"]), data.trajectories), grid)
         assert len(doc["columns"]) == len(doc["atoms"][0]) <= np.count_nonzero(votes.voting)
 
     def test_feature_budget_exits_3(self, workdir, tmp_path, capsys):

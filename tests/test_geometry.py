@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -107,9 +108,21 @@ class TestCurbsideFrame:
             CurbsideFrame(origin=(0.0, 0.0), e1=(1.0, 0.0), e2=e2)
 
     def test_angle_is_derived_not_given(self):
-        with pytest.raises(TypeError, match="alpha"):
-            CurbsideFrame(origin=(0.0, 0.0), e1=(1.0, 0.0), e2=(0.0, 1.0), alpha=0.3)
+        # So are the two maps.
+        for derived in ("alpha", "to_curb", "to_local"):
+            with pytest.raises(TypeError, match=derived):
+                CurbsideFrame(origin=(0.0, 0.0), e1=(1.0, 0.0), e2=(0.0, 1.0), **{derived: 0.3})
         assert CurbsideFrame(origin=(0.0, 0.0), e1=(1.0, 0.0), e2=(0.0, 1.0)).alpha == np.pi / 2
+
+    def test_replace_rebuilds_both_maps(self):
+        f = skew60()
+        moved = dataclasses.replace(f, origin=(3.0, -4.0))
+        fresh = frame_from_curbs((3.0, -4.0), f.e1, f.e2)
+        for name in ("to_curb", "to_local"):
+            for part in ("linear", "translation"):
+                assert getattr(getattr(moved, name), part).tobytes() == getattr(getattr(fresh, name), part).tobytes()
+        assert moved.to_curb.apply((3.0, -4.0)).tolist() == [0.0, 0.0]
+        assert moved.to_local.apply((0.0, 0.0)).tolist() == [3.0, -4.0]
 
 
 class TestCurbsideTransform:
@@ -202,6 +215,7 @@ class TestProperties:
             pts = rng.uniform(-50, 50, (500, 2))
             back = from_curbside(f, to_curbside(f, pts))
             assert np.max(np.abs(back - pts)) < 1e-9
+            assert np.max(np.abs(f.to_local.apply(f.to_curb.apply(pts)) - pts)) <= 1e-12
 
     def test_trig_oracle_equivalence(self):
         rng = np.random.default_rng(43)
@@ -232,6 +246,7 @@ class TestProperties:
         for _ in range(200):
             f = random_frame(rng)
             T = curbside_transform(f)
+            assert T is f.to_curb
             pts = rng.uniform(-30, 30, (10, 2))
             assert T.apply(pts).tobytes() == to_curbside(f, pts).tobytes()
             assert T.apply(pts[3]).tobytes() == to_curbside(f, pts[3]).tobytes() == to_curbside(f, pts)[3].tobytes()

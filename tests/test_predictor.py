@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasnsc import predictor
-from tasnsc.geometry import frame_from_curbs, from_curbside, identity_frame, to_curbside, transform_trajectory
+from tasnsc.geometry import curbside_stack, frame_from_curbs, from_curbside, identity_frame, to_curbside
 from tasnsc.gp import Kernel, PatternTable, fit, pattern_log_likelihood, posterior
 from tasnsc.metrics import evaluate
 from tasnsc.predictor import (
@@ -41,14 +41,14 @@ def straight_scene(**overrides):
     return SceneSpec(**base)
 
 
-def votes_alone(traj, grid):
-    """The pair votes of ``traj`` stacked alone."""
-    return pair_votes(traj.xy, (0, len(traj)), traj.dt, grid)
+def votes_alone(xy, grid):
+    """The pair votes of the points ``xy`` stacked alone."""
+    return pair_votes(xy, (0, len(xy)), grid)
 
 
-def velocities_alone(traj):
-    """The velocity rows of ``traj`` stacked alone."""
-    return velocities(traj.xy, (0, len(traj)), [traj.dt])[0]
+def velocities_alone(frame, traj):
+    """The velocity rows of ``traj`` in the curbside ``frame``, stacked alone."""
+    return velocities(*curbside_stack(frame, [traj]), [traj.dt])[0]
 
 
 def grid_dictionary(model):
@@ -263,17 +263,17 @@ class TestStackedFrontEnd:
         trajs = lone[:4] + trajs[:10] + lone[4:] + trajs[10:]
         with mock.patch.object(predictor, "_fit_grid", wraps=predictor._fit_grid) as fit_grid:
             train(Dataset(trajectories=trajs), frame, PipelineConfig(k_atoms=4, iters=20))
-        alone = np.vstack([transform_trajectory(frame, t).xy for t in trajs])
+        alone = np.vstack([curbside_stack(frame, [t])[0] for t in trajs])
         assert fit_grid.call_args.args[0].tobytes() == alone.tobytes()
 
     def test_one_clip_warning_with_the_total(self, small_a, caplog):
         frame = small_a["frame"]
-        curbside = [transform_trajectory(frame, t) for t in small_a["train"]]
-        lo = np.min([t.xy.min(axis=0) for t in curbside], axis=0)
-        hi = np.max([t.xy.max(axis=0) for t in curbside], axis=0)
+        curbside = [curbside_stack(frame, [t])[0] for t in small_a["train"]]
+        lo = np.min([xy.min(axis=0) for xy in curbside], axis=0)
+        hi = np.max([xy.max(axis=0) for xy in curbside], axis=0)
         # Half the data's x range: many trajectories leave the grid.
         grid = GridSpec(lo[0] - 1.0, 0.5 * (lo[0] + hi[0]), lo[1] - 1.0, hi[1] + 1.0, cell=1.0)
-        counts = [votes_alone(traj, grid).n_clipped for traj in curbside]
+        counts = [votes_alone(xy, grid).n_clipped for xy in curbside]
         assert np.count_nonzero(counts) > 1
         with caplog.at_level("WARNING"), mock.patch.object(predictor, "_fit_grid", return_value=grid):
             train(small_a["train"], frame, PipelineConfig(k_atoms=6, iters=40))
@@ -286,8 +286,8 @@ class TestStackedFrontEnd:
         with mock.patch.object(predictor, "learn_dictionary", wraps=predictor.learn_dictionary) as learn, \
                 mock.patch.object(predictor, "build_transitions", wraps=predictor.build_transitions) as count:
             model = train(small_a["train"], small_a["frame"], config)
-        curbside = [transform_trajectory(small_a["frame"], t) for t in small_a["train"]]
-        alone = [votes_alone(t, model.grid) for t in curbside]
+        curbside = [curbside_stack(small_a["frame"], [t])[0] for t in small_a["train"]]
+        alone = [votes_alone(xy, model.grid) for xy in curbside]
         features = np.vstack([featurize(votes, model.grid.dim) for votes in alone])
         assert learn.call_args.args[0].tobytes() == features[:, model.columns].tobytes()
         seglists = [segment(votes, grid_dictionary(model), config.min_segment)[0] for votes in alone]
@@ -318,7 +318,7 @@ class TestStackedFrontEnd:
             predictor, "pattern_log_likelihood", wraps=predictor.pattern_log_likelihood
         ) as score:
             predict_many(model_a, frame, obs)
-        samples = [velocities_alone(transform_trajectory(frame, o)) for o in obs]
+        samples = [velocities_alone(frame, o) for o in obs]
         table, rows, counts = bound.call_args.args
         assert table is model_a.table
         assert rows.tobytes() == np.vstack(samples).tobytes()
@@ -381,7 +381,7 @@ class TestPredict:
             obs, fut = split_horizon(traj, cfg.t_obs, cfg.t_pred)
             pset = predict(model_a, small_a["frame"], obs)
             top = pset.top()
-            curb = transform_trajectory(small_a["frame"], traj)
+            curb = curbside_stack(small_a["frame"], [traj])[0]
             segs = segment(votes_alone(curb, model_a.grid), grid_dictionary(model_a), cfg.min_segment)[0]
             atoms = [s.atom for s in segs]
             own = {(a, b) for a, b in zip(atoms[:-1], atoms[1:])} or {(atoms[0], atoms[0])}
@@ -654,7 +654,7 @@ class TestPredictMany:
         frame = small_b["frame"]
         by_atoms = {p.atoms: p for p in model_a.patterns}
         for obs in observations(small_b["test"])[:4]:
-            start = transform_trajectory(frame, obs).xy[-1]
+            start = curbside_stack(frame, [obs])[0][-1]
             for cand in predict(model_a, frame, obs).candidates:
                 pattern = by_atoms[cand.atoms]
                 before = np.vstack(([start], to_curbside(frame, cand.trajectory.xy)[:-1]))
@@ -674,7 +674,7 @@ def exhaustive_top_patterns(patterns, samples, counts, top_m):
 
 
 def scoring_rows(frame, obs) -> list:
-    return [velocities_alone(transform_trajectory(frame, o)) for o in obs]
+    return [velocities_alone(frame, o) for o in obs]
 
 
 @pytest.fixture(scope="module")

@@ -34,8 +34,8 @@ def stacked(trajs):
 
 
 def votes_of(trajs, grid=GRID):
-    """The pair votes of the trajectories stacked, all sampled every ``trajs[0].dt``."""
-    return sparse_coding.pair_votes(*stacked(trajs), trajs[0].dt, grid)
+    """The pair votes of the trajectories stacked."""
+    return sparse_coding.pair_votes(*stacked(trajs), grid)
 
 
 def features_of(traj, grid=GRID):
@@ -89,6 +89,12 @@ class TestFeaturize:
         # Cell (0, 0), +x channel is feature index 0.
         assert list(nonzero) == [0]
         assert feat[0] == pytest.approx(1.0)
+
+    def test_channel_follows_the_dominant_displacement(self):
+        # Divided by a time step of 1e-300, dx = 2e8 and dy = 3e8 would both read inf, and x wins ties.
+        votes = votes_of([traj_from_xy([[0.5, 0.5], [2e8 + 0.5, 3e8 + 0.5]])])
+        assert votes.voting.tolist() == [True]
+        assert votes.index[0] % sparse_coding.N_CHANNELS == 2  # +y
 
     def test_stationary_row_is_zero(self):
         # No pair votes, so train drops the trajectory.
@@ -582,7 +588,7 @@ class TestStackedParity:
     def test_flat_points_rejected(self):
         xy, offsets = stacked([_ALL_CASES])
         with pytest.raises(ValueError, match=r"stacked points must be \(N, 2\), got shape \(\d+,\)"):
-            sparse_coding.pair_votes(xy.ravel(), offsets, 0.5, ORACLE_GRID)
+            sparse_coding.pair_votes(xy.ravel(), offsets, ORACLE_GRID)
 
     def test_short_trajectory_not_segmented(self):
         votes = votes_of([_ALL_CASES, _SHORT[1]], ORACLE_GRID)
