@@ -29,9 +29,7 @@ def record():
 
 def test_outputs_match_the_golden_record(record):
     recorded = record.load()
-    fresh = record.compute()
-    assert set(fresh) == {"runs", "quickstart"} and len(fresh["runs"]) == 8 and len(fresh["quickstart"]) == 6
-    changes, problems = record.compare({k: recorded[k] for k in fresh}, fresh)
+    changes, problems = record.compare({k: recorded[k] for k in ("runs", "quickstart")}, record.compute())
     assert not problems, record.report(recorded, changes, problems)
 
 
@@ -44,5 +42,6 @@ def test_a_change_past_the_tolerance_is_named(record):
         "runs/r/transitions: [[0, 2]] differs from the recorded [[0, 1]]",
         "runs/r/likelihoods: relative change 1e-11 is past 1e-12",
     ]
-    ok, none = record.compare(recorded["runs"]["r"]["likelihoods"], [[0.25, 0.75 * (1 + 1e-13)]], ("runs", "likelihoods"))
-    assert none == [] and 0 < ok["likelihoods"] <= record.RTOL
+    fresh["runs"]["r"] = {"transitions": [[0, 1]], "likelihoods": [[0.25, 0.75 * (1 + 1e-13)]]}
+    changes, problems = record.compare(recorded, fresh)
+    assert problems == [] and 0 < changes["likelihoods"] <= record.RTOL
