@@ -1,7 +1,8 @@
 """Every demo runs as a script and exits cleanly.
 
-``demos/04_transfer_benchmark.py`` trains four models at desk scale; with
-Gram-form dictionary learning that takes a few seconds, so it runs here too.
+``demos/04_transfer_benchmark.py`` trains four models at desk scale and
+``demos/05_observation_probe.py`` twenty at paper scale; with Gram-form
+dictionary learning each takes a few seconds, so they run here too.
 """
 
 import os
@@ -12,7 +13,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["01_skewed_frames.py", "02_motion_primitives.py", "03_flow_fields.py", "04_transfer_benchmark.py"]
+DEMOS = [
+    "01_skewed_frames.py",
+    "02_motion_primitives.py",
+    "03_flow_fields.py",
+    "04_transfer_benchmark.py",
+    "05_observation_probe.py",
+]
 
 
 @pytest.mark.parametrize("name", DEMOS)
