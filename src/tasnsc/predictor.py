@@ -260,8 +260,12 @@ def _check_dt(dt: float, config: PipelineConfig, what: str) -> None:
         raise PipelineError(f"{what} is sampled at dt={dt}s, the pipeline expects dt={config.dt}s")
 
 
+# Frames are immutable, so every baseline call shares this one.
+_IDENTITY_FRAME = identity_frame()
+
+
 def _effective_frame(frame: CurbsideFrame, mode: str) -> CurbsideFrame:
-    return frame if mode == "tasnsc" else identity_frame()
+    return frame if mode == "tasnsc" else _IDENTITY_FRAME
 
 
 def _flow(pair: tuple, inputs, targets, kernel: Kernel) -> GPModel:

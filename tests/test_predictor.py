@@ -214,6 +214,18 @@ class TestTrain:
         assert [p.flow for p in model_a.patterns] == list(model_a.flows)
 
 
+def test_baseline_calls_share_one_identity_frame(small_a):
+    config = PipelineConfig(mode="baseline", k_atoms=6, iters=40)
+    observed = split_horizon(small_a["test"].trajectories[0], config.t_obs, config.t_pred)[0]
+    with mock.patch.object(predictor, "curbside_stack", wraps=predictor.curbside_stack) as stack:
+        model = train(small_a["train"], small_a["frame"], config)
+        predict_many(model, small_a["frame"], [observed])
+    (train_frame, _), (predict_frame, _) = (c.args for c in stack.call_args_list)
+    assert train_frame is predict_frame
+    assert train_frame.to_curb.linear.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert train_frame.origin.tolist() == [0.0, 0.0]
+
+
 def pattern_records(model) -> list:
     return [
         (pat.atoms, pat.prior_weight, pat.flow.inputs.tobytes(), pat.flow.targets.tobytes())
