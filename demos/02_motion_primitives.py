@@ -29,7 +29,7 @@ def main():
     votes = pair_votes(xy, offsets, grid)
     features = featurize(votes, grid.dim)
     dictionary, codes = learn_dictionary(features, k_atoms=8, lam=0.1, iters=200, seed=0)
-    print(f"\nobjective: {codes.objective[0]:.3f} -> {codes.objective[-1]:.3f}")
+    print(f"\nobjective: {codes.objective[0]:.3f} -> {codes.objective[-1]:.3f} in {len(codes.objective)} sweeps")
     print(f"codes nonnegative: {bool(np.all(codes.matrix >= 0))}")
     print(f"mean active atoms per trajectory: {np.mean((codes.matrix > 1e-6).sum(axis=0)):.2f}")
 

@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", dest="k_atoms", type=int, default=None, help="dictionary size")
     p.add_argument("--lambda", dest="sparsity", type=float, default=None, help="sparsity weight")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None, help="dictionary learning sweeps")
+    p.add_argument("--iters", type=int, default=None, help="most dictionary-learning sweeps")
     p.add_argument("--config", default=None, help="pipeline config JSON")
     p.set_defaults(func=_cmd_train)
 

@@ -521,7 +521,7 @@ class TestEvaluate:
              "model file: unknown keys ['dictionary'], missing keys ['atoms']"),
             (lambda doc: doc["patterns"][0].update(kernel=doc["config"]["kernel"]), "pattern: unknown keys ['kernel']"),
             (as_version_1, "unsupported model version 1"),
-            (lambda doc: doc["patterns"].append(doc["patterns"][0]), "29 pattern records for 28 nonzero transitions"),
+            (lambda doc: doc["patterns"].append(doc["patterns"][0]), "30 pattern records for 29 nonzero transitions"),
             (lambda doc: doc["transitions"][0].__setitem__(0, 1.7), "transitions must be integer counts"),
             (lambda doc: doc["config"]["kernel"].update(signal_sd=1e308),
              "signal_sd must be positive and finite, and so must its square"),
@@ -545,7 +545,7 @@ class TestEvaluate:
             (lambda doc: doc["grid"].update(cell=0.5), "the grid has cell 0.5, config.grid_cell is 1.0"),
             (lambda doc: doc["config"].update(grid_cell=3.0), "the grid has cell 1.0, config.grid_cell is 3.0"),
             # Loading rejects it, not the first prediction.
-            (lambda doc: doc.update(patterns=[]), "0 pattern records for 28 nonzero transitions"),
+            (lambda doc: doc.update(patterns=[]), "0 pattern records for 29 nonzero transitions"),
             (as_version_3, "unsupported model version 3"),
             (lambda doc: doc["columns"].__setitem__(0, float(doc["columns"][0])),
              "model file columns must be a list of integers"),
@@ -557,10 +557,10 @@ class TestEvaluate:
              "strictly increasing grid features, in [0, "),
             (lambda doc: doc["columns"].pop(), "columns for dictionary atoms of width"),
             (as_version_4, "unsupported model version 4"),
-            (lambda doc: doc["patterns"].pop(), "27 pattern records for 28 nonzero transitions"),
+            (lambda doc: doc["patterns"].pop(), "28 pattern records for 29 nonzero transitions"),
             (lambda doc: doc["transitions"][1].__setitem__(0, -1), "transitions must be nonnegative counts"),
             (lambda doc: doc.update(transitions=np.zeros((12, 12), dtype=int).tolist()),
-             "28 pattern records for 0 nonzero transitions"),
+             "29 pattern records for 0 nonzero transitions"),
             (lambda doc: doc["transitions"][0].__setitem__(slice(0, 2), [2**62, 2**62]), "more than an int64 holds"),
         ],
         ids=["kernel-key", "grid-key", "frame-key", "nan-dt", "float-top-m",

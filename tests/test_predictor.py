@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasnsc import predictor
+from tasnsc import predictor, sparse_coding
 from tasnsc.geometry import curbside_stack, frame_from_curbs, from_curbside, identity_frame, to_curbside
 from tasnsc.gp import Kernel, PatternTable, fit, pattern_log_likelihood, posterior
 from tasnsc.metrics import evaluate
@@ -212,6 +212,27 @@ class TestTrain:
         assert all(type(a) is int for p in model_a.patterns for a in p.atoms)
         assert [p.prior_weight for p in model_a.patterns] == [float(T[p.atoms] / T.sum()) for p in model_a.patterns]
         assert [p.flow for p in model_a.patterns] == list(model_a.flows)
+
+
+class TestDictionaryLearningStops:
+    def test_paper_training_stops_near_the_full_objective(self, monkeypatch):
+        scene = scene_a()
+        data, frame = generate(scene, 150, tag="a-train"), scene.frame()
+        runs = []
+
+        def learn(*args):
+            runs.append(sparse_coding.learn_dictionary(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(predictor, "learn_dictionary", learn)
+        config = PipelineConfig()
+        stopped = train(data, frame, config)
+        monkeypatch.setattr(sparse_coding, "TOL", 0.0)
+        full = train(data, frame, config)
+        (_, codes), _ = runs
+        assert len(codes.objective) < config.iters
+        assert stopped.final_objective == codes.objective[-1]
+        assert abs(stopped.final_objective - full.final_objective) <= 0.002 * full.final_objective
 
 
 def test_baseline_calls_share_one_identity_frame(small_a):

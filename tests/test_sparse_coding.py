@@ -204,6 +204,36 @@ class TestLearnDictionary:
         recomputed = sparse_objective(X, dictionary.atoms, codes.matrix, 0.2)
         assert recomputed == pytest.approx(codes.objective[-1], rel=1e-9)
 
+    def test_stops_when_the_objective_stops_falling(self):
+        X, _ = planted_data(np.random.default_rng(2))
+        dictionary, codes = learn_dictionary(X, k_atoms=2, lam=0.01, iters=200, seed=3)
+        objective = codes.objective
+        assert 2 <= len(objective) < 200
+        # The stopping sweep records the exact residual-form objective.
+        assert objective[-1] == sparse_objective(X, dictionary.atoms, codes.matrix, 0.01)
+        assert objective[-2] - objective[-1] <= sparse_coding.TOL * abs(objective[-1]) + 1e-12
+        # No sweep before it met the rule, and none reseated an atom.
+        falls = objective[:-2] - objective[1:-1]
+        assert np.all(falls > sparse_coding.TOL * np.abs(objective[1:-1]))
+
+    @pytest.mark.parametrize("iters", [1, 2, 50])
+    def test_the_cap_ends_a_run_that_still_falls(self, iters):
+        # Dense Gaussian data: the rule stops this run only after 130 sweeps.
+        X = np.random.default_rng(5).normal(size=(40, 24))
+        dictionary, codes = learn_dictionary(X, k_atoms=6, lam=0.1, iters=iters, seed=1)
+        assert len(codes.objective) == iters
+        assert codes.objective[-1] == sparse_objective(X, dictionary.atoms, codes.matrix, 0.1)
+
+    def test_a_sweep_that_reseats_an_atom_does_not_stop_the_run(self):
+        # At lam=2 no sample gets a code, so every sweep leaves the objective
+        # where it was and reseats both atoms: without the reseats the rule
+        # would stop the run at its second sweep.
+        X, _ = planted_data(np.random.default_rng(4))
+        _, codes = learn_dictionary(X, k_atoms=2, lam=2.0, iters=10, seed=0)
+        assert not codes.matrix.any()
+        assert len(codes.objective) == 10
+        assert np.all(np.diff(codes.objective[:-1]) == 0.0)
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             learn_dictionary(np.empty((0, 4)), 1)
@@ -344,13 +374,14 @@ def _well_posed_problems(draw):
 def checked_against_reference(X, k_atoms, lam, iters, seed):
     """learn_dictionary's atoms, checked against the residual-form reference.
 
-    None where the reference met a margin under 1e-6: there rounding may
-    pick the path, and the two need not agree.
+    The reference runs as many sweeps as learn_dictionary ran, so the
+    iterates agree up to the stop. None where the reference met a margin
+    under 1e-6: there rounding may pick the path, and the two need not agree.
     """
-    atoms, codes, history, margin = reference_learn_dictionary(X, k_atoms, lam, iters, seed)
+    dictionary, got = learn_dictionary(X, k_atoms, lam, iters, seed)
+    atoms, codes, history, margin = reference_learn_dictionary(X, k_atoms, lam, len(got.objective), seed)
     if margin <= 1e-6:
         return None
-    dictionary, got = learn_dictionary(X, k_atoms, lam, iters, seed)
     tol = 1e-9 * (1.0 + abs(history[0]))
     assert np.max(np.abs(dictionary.atoms - atoms)) <= tol
     assert np.max(np.abs(got.matrix - codes)) <= tol
