@@ -309,13 +309,10 @@ def learn_dictionary(
             if g_norm < 1e-12:
                 continue
             D[:, k] = g / g_norm
-        if it == iters - 1:
-            history.append(sparse_objective(X, D.T, A, lam))
-            break
         DtX = (X @ D).T
         DtD = D.T @ D
         objective = 0.5 * np.sum(_sample_errors(sq_norms, DtX, DtD, A)) + lam * np.sum(A)
-        if history and not reseated and history[-1] - objective <= TOL * abs(objective):
+        if it == iters - 1 or (history and not reseated and history[-1] - objective <= TOL * abs(objective)):
             history.append(sparse_objective(X, D.T, A, lam))
             break
         history.append(objective)
