@@ -974,7 +974,7 @@ class TestTransferAtAShortObservation:
     At the protocol's 2.5 s observation TASNSC B→A reads 100%. At 2.0 s the
     accuracy of every row falls below saturation, and the curbside frame
     still carries model B's patterns to scene A, while the local frame does
-    not: 79.8% against 40.0% at test seed 1007.
+    not: 77.6% against 40.0% at test seed 1007.
     """
 
     def test_tasnsc_beats_the_baseline_from_b_to_a(self):
